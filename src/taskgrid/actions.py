@@ -15,8 +15,8 @@ enumerates the achievable signatures, pruning states that cannot return to
 the station in the remaining time and, per (time, cell) group, signatures
 dominated by a superset (any completion of the dominated signature is also a
 completion of the dominating one). For each maximal signature the
-lexicographically smallest realizing trajectory is reconstructed by a greedy
-walk guided by a memoized feasibility check.
+lexicographically smallest realizing trajectory follows memoized first
+moves that can still finish.
 
 For task sets where one location hosts overlapping windows, a trajectory no
 longer determines which task a stay serves; extended actions append a
@@ -174,65 +174,51 @@ def achievable_signatures(grid, station, horizon, tasks, budget=DEFAULT_SIGNATUR
 def _lex_smallest_realizing(grid, station, horizon, slots, bit_of, mask):
     """Lexicographically smallest trajectory whose signature is ``mask``.
 
-    Greedy cell-by-cell choice, validated by a memoized check that the
-    remaining required stays can still be collected and the station
-    reached, without ever staying at an active slot outside ``mask``
-    (which would strictly enlarge the signature).
+    A memo maps each ``(t, cell, remaining)`` state to its first move, in
+    neighbor order, that can still collect the remaining required stays and
+    reach the station: ``(next cell, remaining after the move)``, or None
+    when no move can. The trajectory follows these moves from the station.
+    A stay at a slot in ``mask`` collects its bit; a stay at an active slot
+    outside ``mask`` is never taken, since it would enlarge the signature.
     """
     dist = grid.distances_from(station)
     memo = {}
+    missing = object()
 
-    def feasible(t, cell, remaining):
+    def first_move(t, cell, remaining):
         if t == horizon:
-            return cell == station and remaining == 0
+            # the empty move marks a finished trajectory
+            return () if cell == station and remaining == 0 else None
         key = (t, cell, remaining)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
+        move = memo.get(key, missing)
+        if move is not missing:
+            return move
+        move = None
         d = dist.get(cell)
-        ok = False
         if d is not None and d <= horizon - t:
             b = bit_of.get((t, cell))
             for nb in grid.neighbors(cell):
-                if nb == cell:
-                    if b is None:
-                        ok = feasible(t + 1, cell, remaining)
-                    elif mask >> b & 1:
-                        ok = feasible(t + 1, cell, remaining & ~(1 << b))
-                    else:
+                rest = remaining
+                if nb == cell and b is not None:
+                    if not mask >> b & 1:
                         continue
-                else:
-                    ok = feasible(t + 1, nb, remaining)
-                if ok:
+                    rest = remaining & ~(1 << b)
+                if first_move(t + 1, nb, rest) is not None:
+                    move = (nb, rest)
                     break
-        memo[key] = ok
-        return ok
+        memo[key] = move
+        return move
 
     positions = [station]
     remaining = mask
     for t in range(horizon):
-        cur = positions[-1]
-        b = bit_of.get((t, cur))
-        chosen = None
-        for nb in grid.neighbors(cur):
-            if nb == cur:
-                if b is None:
-                    nxt_remaining = remaining
-                elif mask >> b & 1:
-                    nxt_remaining = remaining & ~(1 << b)
-                else:
-                    continue
-            else:
-                nxt_remaining = remaining
-            if feasible(t + 1, nb, nxt_remaining):
-                chosen = nb
-                remaining = nxt_remaining
-                break
-        if chosen is None:
+        move = first_move(t, positions[-1], remaining)
+        if move is None:
             raise DomainError(
                 f"no trajectory realizes signature mask {mask:b} from {station}"
             )
-        positions.append(chosen)
+        cell, remaining = move
+        positions.append(cell)
     return tuple(positions)
 
 

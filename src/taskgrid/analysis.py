@@ -44,32 +44,40 @@ def _profile_shape(game, budget):
     return shape, size
 
 
+def _walk_profiles(game, shape):
+    """Yield ``(ids, state)`` for every joint plan, in C order.
+
+    One ProfileState steps through the product by unilateral switches, the
+    last robot fastest. Both yielded objects are reused: read them before
+    advancing the generator.
+    """
+    ids = [0] * len(shape)
+    state = ProfileState(game, JointPlan(tuple(ids)))
+    while True:
+        yield ids, state
+        i = len(shape) - 1
+        while ids[i] == shape[i] - 1:
+            if i == 0:
+                return
+            ids[i] = 0
+            state.switch(i + 1, 0)
+            i -= 1
+        ids[i] += 1
+        state.switch(i + 1, ids[i])
+
+
 def profile_values(game, budget=DEFAULT_PROFILE_BUDGET):
     """Global value of every joint plan, as an integer array over action ids.
 
     Axis ``i`` indexes robot ``i + 1``'s actions; entries are exact. The
-    enumeration walks the profile tree with incremental counter updates.
+    enumeration walks the profiles with incremental counter updates.
     """
-    shape, _ = _profile_shape(game, budget)
-    values = np.zeros(shape, dtype=np.int64)
-    state = ProfileState(game, JointPlan((0,) * game.n_robots))
-    n = game.n_robots
-    index = [0] * n
-
-    def walk(robot_index):
-        if robot_index == n:
-            values[tuple(index)] = state.global_value()
-            return
-        robot_id = robot_index + 1
-        for a in range(shape[robot_index]):
-            state.switch(robot_id, a)
-            index[robot_index] = a
-            walk(robot_index + 1)
-        state.switch(robot_id, 0)
-        index[robot_index] = 0
-
-    walk(0)
-    return values
+    shape, size = _profile_shape(game, budget)
+    return np.fromiter(
+        (state.global_value() for _, state in _walk_profiles(game, shape)),
+        dtype=np.int64,
+        count=size,
+    ).reshape(shape)
 
 
 def brute_force_optimum(game, budget=DEFAULT_PROFILE_BUDGET):
@@ -235,13 +243,7 @@ def lll_transition_matrix(game, epsilon, budget=10_000):
     for i in range(n - 2, -1, -1):
         strides[i] = strides[i + 1] * shape[i + 1]
     rows, cols, data = [], [], []
-    for flat in range(size):
-        rest = flat
-        ids = []
-        for i in range(n):
-            ids.append(rest // strides[i])
-            rest %= strides[i]
-        state = ProfileState(game, JointPlan(tuple(ids)))
+    for flat, (ids, state) in enumerate(_walk_profiles(game, shape)):
         for robot_index in range(n):
             utilities = state.utilities_over_actions(robot_index + 1)
             probs = _softmax(utilities, epsilon)
@@ -261,21 +263,27 @@ def lll_stationary_distribution(
 ):
     """Exact stationary distribution of the log-linear chain.
 
-    Solves the stationary linear system directly (one equation replaced
-    by normalization), then refines with power iterations until the
-    one-step residual drops below ``residual``. The chain is irreducible
-    and aperiodic (softmax keeps every action at positive probability and
-    self-loops exist), so failure to converge signals a bug and raises.
+    Solves the stationary linear system directly, then refines with power
+    iterations until the one-step residual drops below ``residual``. The
+    chain is irreducible and aperiodic (softmax keeps every action at
+    positive probability and self-loops exist), so failure to converge
+    signals a bug and raises.
+
+    Any one balance equation is redundant, so which one normalization
+    replaces changes only the conditioning. It replaces that of the first
+    optimal plan, which carries the most mass; replacing the last plan's
+    instead left roundoff below the zero floor on some games.
 
     Returns a flat probability vector in C order over the action-id
     product, summing to 1.
     """
     P, shape = lll_transition_matrix(game, epsilon, budget)
     size = P.shape[0]
+    anchor = int(np.argmax(profile_values(game, budget)))
     A = (P.T - scipy.sparse.identity(size, format="csr")).tolil()
-    A[size - 1, :] = np.ones(size)
+    A[anchor, :] = np.ones(size)
     b = np.zeros(size)
-    b[size - 1] = 1.0
+    b[anchor] = 1.0
     pi = scipy.sparse.linalg.spsolve(A.tocsr(), b)
     PT = P.T.tocsr()
     for _ in range(max_refinement):

@@ -361,14 +361,10 @@ class ProfileState:
         current = self.action_ids[game.robot_index(robot_id)]
         cur_contribs = game.contributions_of(robot_id, current)
         self._apply(cur_contribs, -1)  # counters now exclude this robot
-        base_cache = {}
-
-        def base(j):
-            v = base_cache.get(j)
-            if v is None:
-                v = game.tasks[j].value.evaluate(self.counters[j])
-                base_cache[j] = v
-            return v
+        # only the tasks the current action serves lost counts
+        base = list(self.values)
+        for j, _ in cur_contribs:
+            base[j] = game.tasks[j].value.evaluate(self.counters[j])
 
         utilities = []
         for action_id in range(game.n_actions(robot_id)):
@@ -376,10 +372,9 @@ class ProfileState:
             u = 0
             for j, offsets in contribs:
                 row = self.counters[j]
-                b = base(j)  # must be cached before the row is touched
                 for o in offsets:
                     row[o] += 1
-                u += game.tasks[j].value.evaluate(row) - b
+                u += game.tasks[j].value.evaluate(row) - base[j]
                 for o in offsets:
                     row[o] -= 1
             utilities.append(u)

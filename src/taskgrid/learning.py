@@ -17,7 +17,7 @@ tie-breaks). Batch run ``j`` uses ``base_seed + j``. Identical (game, config)
 inputs reproduce traces exactly.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -131,21 +131,17 @@ def _softmax(utilities, epsilon):
 def run_best_response(game, config):
     if config.algorithm != BEST_RESPONSE:
         raise ValidationError("config.algorithm must be 'br'")
-    return _run(game, config)
+    return run(game, config)
 
 
 def run_log_linear(game, config):
     if config.algorithm != LOG_LINEAR:
         raise ValidationError("config.algorithm must be 'lll'")
-    return _run(game, config)
+    return run(game, config)
 
 
 def run(game, config):
     """Execute one learning run and return its trace."""
-    return _run(game, config)
-
-
-def _run(game, config):
     pick_rng, act_rng = _streams(config.seed)
     plan = _initial_plan(game, config, act_rng)
     state = ProfileState(game, plan)
@@ -198,16 +194,7 @@ def run_batch(game, config, n_runs, base_seed=None):
         raise ValidationError("n_runs must be at least 1")
     if base_seed is None:
         base_seed = config.seed
-    traces = []
-    for j in range(n_runs):
-        cfg = LearningConfig(
-            algorithm=config.algorithm,
-            rounds=config.rounds,
-            seed=base_seed + j,
-            epsilon=config.epsilon,
-            initial=config.initial,
-        )
-        traces.append(_run(game, cfg))
+    traces = [run(game, replace(config, seed=base_seed + j)) for j in range(n_runs)]
     values = np.array([t.values() for t in traces])  # runs x (rounds + 1)
     series = [
         (k, values[:, k].min().item(), values[:, k].mean().item(), values[:, k].max().item())

@@ -46,7 +46,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import tasks as tasks_mod
-from .errors import ValidationError
+from .errors import DomainError, ValidationError
 from .game import GameInstance
 from .grid import Grid
 from .tasks import Task, ValueFunction
@@ -123,7 +123,7 @@ def _cell(value, where):
 
 def _parse_value(obj, where):
     kind = _need(obj, "kind", str, where)
-    max_value = _need(obj, "max_value", (int, float), where)
+    max_value = _need(obj, "max_value", int, where)
     known = {"kind", "max_value", "threshold", "heavy", "follow", "entries", "default"}
     for key in obj:
         if key not in known:
@@ -161,8 +161,15 @@ def _parse_value(obj, where):
                     raise ValidationError(
                         f"{where}.entries[{i}]: counter must be an integer list"
                     )
+                if not isinstance(val, int) or isinstance(val, bool):
+                    raise ValidationError(
+                        f"{where}.entries[{i}]: value must be an integer"
+                    )
                 parsed.append((tuple(counter), val))
-            return ValueFunction.table(parsed, max_value, default=obj.get("default"))
+            default = obj.get("default")
+            if default is not None:
+                default = _need(obj, "default", int, where)
+            return ValueFunction.table(parsed, max_value, default=default)
     except ValidationError as exc:
         if str(exc).startswith(where):
             raise
@@ -421,6 +428,11 @@ def load_any(path):
 
 def build_game(scenario, mode="auto", **budgets):
     """Construct the game instance a scenario describes."""
+    if isinstance(scenario, EpisodeSuite):
+        raise DomainError(
+            "build_game needs one scenario, not an episode suite; pick an "
+            f"episode with EpisodeSuite.get (have {', '.join(scenario.names())})"
+        )
     return GameInstance(
         scenario.grid,
         scenario.horizon,

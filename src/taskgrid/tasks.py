@@ -2,7 +2,7 @@
 
 A task is a location, a time window ``{arrival, ..., departure - 1}``, and a
 value function. The value function maps a counter vector (how many robots
-served the location at each window step) to a value between 0 and a cap.
+served the location at each window step) to an integer between 0 and a cap.
 Every built-in variant is monotone: adding robots never lowers the value.
 """
 
@@ -18,6 +18,10 @@ VALUE_KINDS = (
     "sequential_heavy_light",
     "table",
 )
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -44,16 +48,18 @@ class ValueFunction:
     """
 
     kind: str
-    max_value: float
+    max_value: int
     threshold: int = 1
     heavy: int = 0
     follow: int = 0
     entries: tuple = None
-    default: float = None
+    default: int = None
 
     def __post_init__(self):
         if self.kind not in VALUE_KINDS:
             raise ValidationError(f"unknown value-function kind {self.kind!r}")
+        if not _is_int(self.max_value):
+            raise ValidationError("max_value must be an integer")
         if self.max_value <= 0:
             raise ValidationError("max_value must be positive")
         if self.kind in ("threshold_max", "threshold_sum") and self.threshold < 1:
@@ -67,12 +73,19 @@ class ValueFunction:
             for counter, value in self.entries:
                 if any(e < 0 for e in counter):
                     raise ValidationError(f"table counter {counter} has a negative entry")
+                if not _is_int(value):
+                    raise ValidationError(
+                        f"table value {value!r} for {counter} must be an integer"
+                    )
                 if not 0 <= value <= self.max_value:
                     raise ValidationError(
                         f"table value {value} for {counter} outside [0, {self.max_value}]"
                     )
-            if self.default is not None and not 0 <= self.default <= self.max_value:
-                raise ValidationError("table default outside [0, max_value]")
+            if self.default is not None:
+                if not _is_int(self.default):
+                    raise ValidationError("default must be an integer")
+                if not 0 <= self.default <= self.max_value:
+                    raise ValidationError("table default outside [0, max_value]")
 
     # -- constructors ----------------------------------------------------
 

@@ -1,4 +1,6 @@
+import numpy as np
 import pytest
+from support import random_game
 
 from taskgrid import (
     BudgetExceededError,
@@ -95,12 +97,23 @@ class TestConstruction:
 
     def test_trajectories_are_lexicographically_smallest_realizers(self, small):
         grid, tasks = small
-        actions = build_minimal_action_set(grid, (2, 2), 3, tasks)
-        by_signature = {}
-        for traj in enumerate_feasible_trajectories(grid, (2, 2), 3):
-            by_signature.setdefault(signature(traj, tasks), []).append(traj)
-        for traj, sig in zip(actions.trajectories, actions.signatures):
-            assert traj == min(by_signature[sig])
+        cases = [(grid, (2, 2), 3, tasks)]
+        rng = np.random.default_rng(17)
+        for _ in range(12):
+            game = random_game(rng, max_tasks=5, max_horizon=6, n_stations=2)
+            for number in sorted(set(game.robot_stations)):
+                cell = game.grid.station(number)
+                cases.append((game.grid, cell, game.horizon, game.tasks))
+        for grid, station, horizon, tasks in cases:
+            actions = build_minimal_action_set(grid, station, horizon, tasks)
+            by_signature = {}
+            for traj in enumerate_feasible_trajectories(grid, station, horizon):
+                by_signature.setdefault(signature(traj, tasks), []).append(traj)
+            for traj, sig in zip(actions.trajectories, actions.signatures):
+                if sig:
+                    assert traj == min(by_signature[sig])
+                else:  # nothing servable: the set is the stay-at-station action
+                    assert traj == (station,) * (horizon + 1)
 
     def test_signature_budget_enforced(self, scenarios):
         sc = scenarios["case_study_1.json"]

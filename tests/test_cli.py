@@ -377,13 +377,20 @@ class TestBatch:
 
 class TestParser:
     def test_module_entry_point(self):
+        import os
         import subprocess
         import sys
 
+        import taskgrid
+
+        # the child imports the same copy of the package as this process
+        src = os.path.dirname(os.path.dirname(taskgrid.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "taskgrid", "--version"],
             capture_output=True,
             text=True,
+            env=dict(os.environ, PYTHONPATH=path),
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == __version__

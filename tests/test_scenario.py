@@ -4,6 +4,7 @@ import pytest
 
 from taskgrid import (
     BudgetExceededError,
+    DomainError,
     EpisodeSuite,
     Scenario,
     ValidationError,
@@ -115,6 +116,33 @@ class TestDiagnostics:
         obj = minimal_object()
         obj["horizon"] = True
         with pytest.raises(ValidationError, match="scenario.horizon"):
+            parse_object(obj)
+
+    def test_fractional_values_rejected(self):
+        # a 0.5 cap once reached ProfileState as 0.5 but the int64 profile
+        # array as 0, so brute force and equilibria disagreed with global_value
+        obj = minimal_object()
+        obj["environment"] = {
+            "width": 3, "height": 1, "obstacles": [], "stations": [[1, 1]]
+        }
+        obj["tasks"][0]["location"] = [3, 1]
+        obj["tasks"][0]["value"]["max_value"] = 0.5
+        with pytest.raises(ValidationError, match=r"tasks\[0\]\.value\.max_value"):
+            parse_object(obj)
+        obj["tasks"][0]["value"] = {
+            "kind": "table",
+            "max_value": 2,
+            "entries": [[[0, 0, 0], 0], [[1, 0, 0], 1.5]],
+        }
+        with pytest.raises(ValidationError, match=r"tasks\[0\]\.value\.entries\[1\]"):
+            parse_object(obj)
+        obj["tasks"][0]["value"] = {
+            "kind": "table",
+            "max_value": 2,
+            "entries": [[[0, 0, 0], 0]],
+            "default": 2.0,
+        }
+        with pytest.raises(ValidationError, match=r"tasks\[0\]\.value\.default"):
             parse_object(obj)
 
     def test_bad_cell_shape(self):
@@ -340,6 +368,10 @@ class TestDispatchAndFixtures:
         assert game.mode == "extended"
         assert game.horizon == scenario.horizon
         assert game.tasks == scenario.tasks
+
+    def test_build_game_rejects_an_episode_suite(self, episode_suite):
+        with pytest.raises(DomainError, match="EpisodeSuite.get"):
+            build_game(episode_suite)
 
     def test_build_game_passes_budgets_through(self):
         scenario = load_fixture("case_study_1.json")

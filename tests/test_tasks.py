@@ -91,6 +91,18 @@ class TestTable:
         with pytest.raises(ValidationError):
             ValueFunction.table([], 4)
 
+    def test_values_must_be_integers(self):
+        for make in (
+            lambda: ValueFunction.simple(0.5),
+            lambda: ValueFunction.simple(True),
+            lambda: ValueFunction.threshold_sum(2.0, 1),
+            lambda: ValueFunction.table([((0,), 0), ((1,), 1.5)], 2),
+            lambda: ValueFunction.table([((0,), 0)], 2, default=1.0),
+            lambda: ValueFunction.table([((0,), False)], 2),
+        ):
+            with pytest.raises(ValidationError, match="integer"):
+                make()
+
 
 class TestEvaluationDomain:
     def test_numpy_integers_are_accepted(self):
