@@ -3,9 +3,10 @@
 Everything here is exhaustive or exact and intended for small games: the
 joint action space is materialized (under an explicit budget), equilibria are
 found by per-robot argmax comparisons in integer arithmetic, and the
-log-linear chain's stationary distribution is solved from its full transition
-matrix. These serve as oracles for the learning dynamics and for the
-price-of-anarchy bound on single-station games with simple tasks.
+log-linear chain's stationary distribution is the Gibbs law of the potential,
+checked against the chain's full transition matrix. These serve as oracles
+for the learning dynamics and for the price-of-anarchy bound on
+single-station games with simple tasks.
 """
 
 import math
@@ -15,7 +16,6 @@ from itertools import product
 
 import numpy as np
 import scipy.sparse
-import scipy.sparse.linalg
 
 from . import actions as actions_mod
 from . import game as game_mod
@@ -32,16 +32,19 @@ DEFAULT_PROFILE_BUDGET = 200_000
 INFINITE_POA = math.inf
 
 
-def _profile_shape(game, budget):
-    shape = tuple(game.n_actions(i) for i in game.robot_ids)
-    size = 1
-    for s in shape:
-        size *= s
+def _product_within(sizes, budget, space):
+    """The product of ``sizes``; raises if it exceeds ``budget``."""
+    size = math.prod(sizes)
     if size > budget:
         raise BudgetExceededError(
-            f"joint action space has {size} profiles, budget {budget}", size=size
+            f"{space} has {size} profiles, budget {budget}", size=size
         )
-    return shape, size
+    return size
+
+
+def _profile_shape(game, budget):
+    shape = tuple(game.n_actions(i) for i in game.robot_ids)
+    return shape, _product_within(shape, budget, "joint action space")
 
 
 def _walk_profiles(game, shape):
@@ -115,15 +118,11 @@ def full_space_optimum(game, trajectory_budget=500_000, profile_budget=DEFAULT_P
         ):
             sigs.add(actions_mod.signature(traj, game.tasks))
         signature_sets.append(sorted(sigs, key=sorted))
-    size = 1
-    for sigs in signature_sets:
-        size *= len(sigs)
-    if size > profile_budget:
-        raise BudgetExceededError(
-            f"collapsed trajectory space has {size} profiles, "
-            f"budget {profile_budget}",
-            size=size,
-        )
+    _product_within(
+        [len(sigs) for sigs in signature_sets],
+        profile_budget,
+        "collapsed trajectory space",
+    )
     best = 0
     for combo in product(*signature_sets):
         total = 0
@@ -258,50 +257,28 @@ def lll_transition_matrix(game, epsilon, budget=10_000):
     )
 
 
-def lll_stationary_distribution(
-    game, epsilon, budget=10_000, residual=1e-12, max_refinement=100_000
-):
+def lll_stationary_distribution(game, epsilon, budget=10_000, residual=1e-12):
     """Exact stationary distribution of the log-linear chain.
 
-    Solves the stationary linear system directly, then refines with power
-    iterations until the one-step residual drops below ``residual``. The
-    chain is irreducible and aperiodic (softmax keeps every action at
-    positive probability and self-loops exist), so failure to converge
-    signals a bug and raises.
-
-    Any one balance equation is redundant, so which one normalization
-    replaces changes only the conditioning. It replaces that of the first
-    optimal plan, which carries the most mass; replacing the last plan's
-    instead left roundoff below the zero floor on some games.
+    The global value is an exact potential of the marginal-contribution
+    utilities, so the chain is reversible and its stationary law is the
+    Gibbs law ``exp(value / epsilon) / Z`` over joint plans. That law is
+    taken in closed form from ``profile_values`` and then checked against
+    the chain built from the learning kernel: if one step of the chain
+    moves ``residual`` or more total mass, the utilities break the
+    potential identity and this raises.
 
     Returns a flat probability vector in C order over the action-id
     product, summing to 1.
     """
-    P, shape = lll_transition_matrix(game, epsilon, budget)
-    size = P.shape[0]
-    anchor = int(np.argmax(profile_values(game, budget)))
-    A = (P.T - scipy.sparse.identity(size, format="csr")).tolil()
-    A[anchor, :] = np.ones(size)
-    b = np.zeros(size)
-    b[anchor] = 1.0
-    pi = scipy.sparse.linalg.spsolve(A.tocsr(), b)
-    PT = P.T.tocsr()
-    for _ in range(max_refinement):
-        nxt = PT @ pi
-        if np.abs(nxt - pi).sum() < residual:
-            pi = nxt
-            break
-        pi = nxt
-    else:
+    pi = _softmax(profile_values(game, budget).ravel(), epsilon)
+    P, _ = lll_transition_matrix(game, epsilon, budget)
+    moved = np.abs(P.T @ pi - pi).sum()
+    if moved >= residual:
         raise ConvergenceError(
-            f"stationary refinement did not reach residual {residual}"
+            f"one chain step moves {moved:.3g} of the Gibbs law's mass, "
+            f"residual {residual}"
         )
-    if pi.min() < -1e-10:
-        raise ConvergenceError(
-            f"stationary solve produced mass {pi.min()} below zero"
-        )
-    pi = np.clip(pi, 0.0, None)
-    pi /= pi.sum()
     return pi
 
 

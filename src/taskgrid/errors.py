@@ -30,4 +30,4 @@ class InapplicableError(TaskgridError):
 
 
 class ConvergenceError(TaskgridError):
-    """An iterative solver failed to reach the required residual."""
+    """A computed distribution failed its check against the chain's residual."""

@@ -93,9 +93,15 @@ class GameInstance:
                     f"exceeds the horizon {horizon}"
                 )
             if task.value.kind == "table":
-                if not tasks_mod.validate_monotonicity(
-                    task.value, task.window_length, len(self.robot_stations)
-                ):
+                try:
+                    monotone = tasks_mod.validate_monotonicity(
+                        task.value, task.window_length, len(self.robot_stations)
+                    )
+                except DomainError as exc:
+                    raise ValidationError(
+                        f"tasks[{i}] (id {task.id}): {exc}"
+                    ) from None
+                if not monotone:
                     raise ValidationError(
                         f"tasks[{i}] (id {task.id}): table value function "
                         "is not monotone"

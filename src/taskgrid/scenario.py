@@ -257,9 +257,13 @@ def _scenario_from_object(obj):
         except ValidationError as exc:
             raise ValidationError(f"{where}: {exc}") from None
         if value.kind == "table":
-            if not tasks_mod.validate_monotonicity(
-                value, task.window_length, len(robots)
-            ):
+            try:
+                monotone = tasks_mod.validate_monotonicity(
+                    value, task.window_length, len(robots)
+                )
+            except DomainError as exc:
+                raise ValidationError(f"{where}.value: {exc}") from None
+            if not monotone:
                 raise ValidationError(
                     f"{where}.value: table is not monotone over caps 0..{len(robots)}"
                 )

@@ -8,12 +8,14 @@ from support import random_game
 
 from taskgrid import (
     BudgetExceededError,
+    ConvergenceError,
     DomainError,
     EquilibriumReport,
     GameInstance,
     Grid,
     InapplicableError,
     JointPlan,
+    ProfileState,
     Task,
     ValueFunction,
     brute_force_optimum,
@@ -202,15 +204,37 @@ class TestChain:
         assert total_variation(pi, gibbs(game, 0.5)) < 1e-10
 
     def test_stationary_is_invariant_under_the_chain(self, games):
-        game = games["example_3.json"]
-        for epsilon in (0.5, 0.2):
-            P, _ = lll_transition_matrix(game, epsilon)
-            pi = lll_stationary_distribution(game, epsilon)
-            assert np.abs(P.T @ pi - pi).sum() < 1e-10
+        cases = [games["example_3.json"]]
+        for seed in (18, 54, 91):
+            game = random_game(
+                np.random.default_rng(seed), max_robots=3, n_stations=2,
+                max_tasks=5, max_horizon=6, profile_cap=400,
+            )
+            assert game.n_robots == 3 and min(game.action_set_sizes()) > 1
+            cases.append(game)
+        for game in cases:
+            for epsilon in (0.5, 0.2, 0.05):
+                P, _ = lll_transition_matrix(game, epsilon)
+                pi = lll_stationary_distribution(game, epsilon)
+                assert np.abs(P.T @ pi - pi).sum() < 1e-10
+
+    def test_a_utility_off_the_potential_fails_the_chain_check(
+        self, games, monkeypatch
+    ):
+        kernel = ProfileState.utilities_over_actions
+
+        def shifted(state, robot_id):
+            utilities = kernel(state, robot_id)
+            utilities[0] += 1
+            return utilities
+
+        monkeypatch.setattr(ProfileState, "utilities_over_actions", shifted)
+        with pytest.raises(ConvergenceError, match="residual"):
+            lll_stationary_distribution(games["example_3.json"], epsilon=0.5)
 
     def test_stationary_solve_keeps_near_zero_mass_above_the_floor(self, scenarios):
-        # normalizing in place of the last plan's balance equation left
-        # -1.1e-7 of mass on this game and raised ConvergenceError
+        # masses reach down to 1e-20 here; a linear solve of the chain left
+        # roundoff of -1.1e-7 below zero on this game
         sc = scenarios["case_study_2.json"]
         keep = {5, 12, 23, 25, 26, 28, 30}
         game = GameInstance(

@@ -111,6 +111,15 @@ class TestConstructionValidation:
         with pytest.raises(ValidationError, match="monotone"):
             GameInstance(grid, 3, [1], tasks)
 
+    def test_table_without_an_entry_or_default_names_the_task(self):
+        grid = Grid(3, 1, stations=[(2, 1)])
+        partial = ValueFunction.table([((0, 0), 0)], 1)
+        tasks = [Task(1, (1, 1), 1, 3, partial)]
+        with pytest.raises(
+            ValidationError, match=r"tasks\[0\] \(id 1\): .*counter \(1, 0\)"
+        ):
+            GameInstance(grid, 3, [1], tasks)
+
     def test_unknown_mode_and_bad_station(self):
         grid = Grid(3, 3, stations=[(2, 2)])
         with pytest.raises(ValidationError):

@@ -233,6 +233,17 @@ class TestDiagnostics:
         with pytest.raises(ValidationError, match="monotone"):
             parse_object(obj)
 
+    def test_table_without_an_entry_or_default_names_the_field(self):
+        obj = minimal_object()
+        obj["tasks"][0].update(
+            arrival=1,
+            value={"kind": "table", "max_value": 1, "entries": [[[0, 0], 0]]},
+        )
+        with pytest.raises(
+            ValidationError, match=r"tasks\[0\]\.value: .*counter \(1, 0\)"
+        ):
+            parse_object(obj)
+
     def test_unknown_defaults_key(self):
         obj = minimal_object()
         obj["defaults"]["retries"] = 2
