@@ -4,9 +4,9 @@ Everything here is exhaustive or exact and intended for small games: the
 joint action space is materialized (under an explicit budget), equilibria are
 found by per-robot argmax comparisons in integer arithmetic, and the
 log-linear chain's stationary distribution is the Gibbs law of the potential,
-checked against the chain's full transition matrix. These serve as oracles
-for the learning dynamics and for the price-of-anarchy bound on
-single-station games with simple tasks.
+taken once the potential identity is checked in integers at every joint plan.
+These serve as oracles for the learning dynamics and for the price-of-anarchy
+bound on single-station games with simple tasks.
 """
 
 import math
@@ -26,7 +26,13 @@ from .errors import (
     InapplicableError,
 )
 from .game import EXTENDED, JointPlan, ProfileState
-from .learning import LOG_LINEAR, LearningConfig, _softmax, run_log_linear
+from .learning import (
+    LOG_LINEAR,
+    LearningConfig,
+    _check_epsilon,
+    _softmax,
+    run_log_linear,
+)
 
 DEFAULT_PROFILE_BUDGET = 200_000
 INFINITE_POA = math.inf
@@ -236,6 +242,7 @@ def lll_transition_matrix(game, epsilon, budget=10_000):
     flat C-order indices over the action-id product. Rows sum to 1;
     self-loops arise whenever the sampled action is the current one.
     """
+    _check_epsilon(epsilon)
     shape, size = _profile_shape(game, budget)
     n = game.n_robots
     strides = [1] * n
@@ -257,29 +264,33 @@ def lll_transition_matrix(game, epsilon, budget=10_000):
     )
 
 
-def lll_stationary_distribution(game, epsilon, budget=10_000, residual=1e-12):
+def lll_stationary_distribution(game, epsilon, budget=10_000):
     """Exact stationary distribution of the log-linear chain.
 
     The global value is an exact potential of the marginal-contribution
     utilities, so the chain is reversible and its stationary law is the
-    Gibbs law ``exp(value / epsilon) / Z`` over joint plans. That law is
-    taken in closed form from ``profile_values`` and then checked against
-    the chain built from the learning kernel: if one step of the chain
-    moves ``residual`` or more total mass, the utilities break the
-    potential identity and this raises.
+    Gibbs law ``exp(value / epsilon) / Z`` over joint plans. That identity
+    is checked in integers before the law is taken: at every joint plan, for
+    every robot, the learning kernel's utility minus the global value must be
+    the same for all of the robot's actions, or this raises. The check does
+    not depend on ``epsilon``.
 
     Returns a flat probability vector in C order over the action-id
     product, summing to 1.
     """
-    pi = _softmax(profile_values(game, budget).ravel(), epsilon)
-    P, _ = lll_transition_matrix(game, epsilon, budget)
-    moved = np.abs(P.T @ pi - pi).sum()
-    if moved >= residual:
-        raise ConvergenceError(
-            f"one chain step moves {moved:.3g} of the Gibbs law's mass, "
-            f"residual {residual}"
-        )
-    return pi
+    _check_epsilon(epsilon)
+    values = profile_values(game, budget)
+    for ids, state in _walk_profiles(game, values.shape):
+        for i, own in enumerate(ids):
+            line = values[(*ids[:i], slice(None), *ids[i + 1:])]
+            gaps = np.subtract(state.utilities_over_actions(i + 1), line)
+            if (gaps != gaps[own]).any():
+                raise ConvergenceError(
+                    f"robot {i + 1} at plan {tuple(ids)}: utility minus global "
+                    f"value over its actions is {gaps.tolist()}, not constant; "
+                    "the utilities break the potential identity"
+                )
+    return _softmax(values.ravel(), epsilon)
 
 
 def empirical_occupancy(game, epsilon, rounds, seed, budget=10_000):

@@ -30,4 +30,9 @@ class InapplicableError(TaskgridError):
 
 
 class ConvergenceError(TaskgridError):
-    """A computed distribution failed its check against the chain's residual."""
+    """A computed distribution failed its exactness check.
+
+    The log-linear stationary law is the Gibbs law only while the learning
+    kernel's utilities satisfy the potential identity; this names the robot
+    and the plan where they do not.
+    """

@@ -209,11 +209,14 @@ class GameInstance:
                 f"plan has {len(ids)} actions for {self.n_robots} robots"
             )
         for robot_id, a in zip(self.robot_ids, ids):
-            if not 0 <= a < self.n_actions(robot_id):
-                raise DomainError(
-                    f"robot {robot_id}: action id {a} outside "
-                    f"0..{self.n_actions(robot_id) - 1}"
-                )
+            self._check_action(robot_id, a)
+
+    def _check_action(self, robot_id, action_id):
+        n = self.n_actions(robot_id)
+        if not 0 <= action_id < n:
+            raise DomainError(
+                f"robot {robot_id}: action id {action_id} outside 0..{n - 1}"
+            )
 
     def random_plan(self, rng):
         """Uniform random action per robot, one draw per robot in id order."""
@@ -394,6 +397,7 @@ class ProfileState:
         old = self.action_ids[idx]
         if action_id == old:
             return
+        game._check_action(robot_id, action_id)
         old_contribs = game.contributions_of(robot_id, old)
         new_contribs = game.contributions_of(robot_id, action_id)
         touched = {j for j, _ in old_contribs} | {j for j, _ in new_contribs}

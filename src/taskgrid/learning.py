@@ -116,10 +116,14 @@ def lll_distribution(game, plan, robot_id, epsilon):
     utility is subtracted before exponentiation so every weight lies in
     (0, 1]; all probabilities are strictly positive.
     """
-    if not epsilon > 0:
-        raise DomainError("epsilon must be positive")
+    _check_epsilon(epsilon)
     state = ProfileState(game, plan)
     return _softmax(state.utilities_over_actions(robot_id), epsilon)
+
+
+def _check_epsilon(epsilon):
+    if not epsilon > 0:
+        raise DomainError("epsilon must be positive")
 
 
 def _softmax(utilities, epsilon):

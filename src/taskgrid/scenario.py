@@ -273,20 +273,24 @@ def _scenario_from_object(obj):
         dupes = sorted({str(i) for i in ids if ids.count(i) > 1})
         raise ValidationError(f"tasks: duplicate ids {', '.join(dupes)}")
 
-    defaults = obj.get("defaults", {})
-    if not isinstance(defaults, dict):
-        raise ValidationError("scenario.defaults: expected an object")
-    for key in defaults:
-        if key not in _LEARNING_DEFAULT_KEYS:
-            raise ValidationError(f"defaults.{key}: unknown field")
-
     return Scenario(
         grid=grid,
         horizon=horizon,
         robot_stations=tuple(robots),
         tasks=tuple(parsed_tasks),
-        defaults=tuple(sorted(defaults.items())),
+        defaults=_learning_defaults(obj, "scenario"),
     )
+
+
+def _learning_defaults(obj, where):
+    """The optional ``defaults`` object as sorted (key, value) pairs."""
+    defaults = obj.get("defaults", {})
+    if not isinstance(defaults, dict):
+        raise ValidationError(f"{where}.defaults: expected an object")
+    for key in defaults:
+        if key not in _LEARNING_DEFAULT_KEYS:
+            raise ValidationError(f"{where}.defaults.{key}: unknown field")
+    return tuple(sorted(defaults.items()))
 
 
 def _value_to_object(vf):
@@ -365,41 +369,48 @@ def load_episodes(path):
         obj = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: not valid JSON: {exc}") from None
+    try:
+        return _episodes_from_object(obj, path.parent)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+
+
+def _episodes_from_object(obj, directory):
     if not is_episode_object(obj):
-        raise ValidationError(f"{path}: not an episode-suite file (no 'episodes')")
+        raise ValidationError("not an episode-suite file (no 'episodes')")
     known = {"environment_from", "tasks_from", "horizon", "robots", "episodes", "defaults"}
     for key in obj:
         if key not in known:
-            raise ValidationError(f"{path}: episodes.{key}: unknown field")
+            raise ValidationError(f"episodes.{key}: unknown field")
     env_ref = _need(obj, "environment_from", str, "episodes")
     tasks_ref = _need(obj, "tasks_from", str, "episodes")
-    base = load_scenario(path.parent / env_ref)
+    base = load_scenario(directory / env_ref)
     task_source = (
-        base if tasks_ref == env_ref else load_scenario(path.parent / tasks_ref)
+        base if tasks_ref == env_ref else load_scenario(directory / tasks_ref)
     )
     by_id = {task.id: task for task in task_source.tasks}
     horizon = _need(obj, "horizon", int, "episodes")
     robots = _need(obj, "robots", list, "episodes")
     raw_eps = _need(obj, "episodes", list, "episodes")
-    defaults = tuple(sorted(obj.get("defaults", {}).items()))
+    defaults = _learning_defaults(obj, "episodes")
     episodes = []
     seen = set()
     for i, ep in enumerate(raw_eps):
         where = f"episodes[{i}]"
         if not isinstance(ep, dict):
-            raise ValidationError(f"{path}: {where}: expected an object")
+            raise ValidationError(f"{where}: expected an object")
         name = _need(ep, "name", str, where)
         if name in seen:
-            raise ValidationError(f"{path}: {where}: duplicate name {name!r}")
+            raise ValidationError(f"{where}: duplicate name {name!r}")
         seen.add(name)
-        task_ids = _need(ep, "tasks", list, where)
         chosen = []
-        for tid in task_ids:
-            if tid not in by_id:
+        for k, tid in enumerate(_need(ep, "tasks", list, where)):
+            try:
+                chosen.append(by_id[tid])
+            except (KeyError, TypeError):
                 raise ValidationError(
-                    f"{path}: {where}: task id {tid!r} not found in {tasks_ref}"
-                )
-            chosen.append(by_id[tid])
+                    f"{where}.tasks[{k}]: task id {tid!r} not found in {tasks_ref}"
+                ) from None
         scenario = Scenario(
             grid=base.grid,
             horizon=horizon,
@@ -411,7 +422,7 @@ def load_episodes(path):
         scenario = parse_scenario(serialize_scenario(scenario))
         episodes.append((name, scenario))
     if not episodes:
-        raise ValidationError(f"{path}: episodes: at least one episode required")
+        raise ValidationError("episodes: at least one episode required")
     return EpisodeSuite(episodes=tuple(episodes))
 
 

@@ -222,15 +222,30 @@ class TestChain:
         self, games, monkeypatch
     ):
         kernel = ProfileState.utilities_over_actions
+        # shift action 0 everywhere, or only while the robot's current action
+        # is 1, which a check at one plan per line would miss
+        for only_at in (None, 1):
 
-        def shifted(state, robot_id):
-            utilities = kernel(state, robot_id)
-            utilities[0] += 1
-            return utilities
+            def shifted(state, robot_id, only_at=only_at):
+                utilities = kernel(state, robot_id)
+                if only_at in (None, state.action_ids[robot_id - 1]):
+                    utilities[0] += 1
+                return utilities
 
-        monkeypatch.setattr(ProfileState, "utilities_over_actions", shifted)
-        with pytest.raises(ConvergenceError, match="residual"):
-            lll_stationary_distribution(games["example_3.json"], epsilon=0.5)
+            monkeypatch.setattr(ProfileState, "utilities_over_actions", shifted)
+            for epsilon in (0.5, 0.2, 0.05):
+                with pytest.raises(
+                    ConvergenceError, match="break the potential identity"
+                ):
+                    lll_stationary_distribution(games["example_3.json"], epsilon)
+
+    @pytest.mark.parametrize("epsilon", [0, -0.2])
+    @pytest.mark.parametrize(
+        "chain", [lll_stationary_distribution, lll_transition_matrix]
+    )
+    def test_epsilon_must_be_positive(self, games, chain, epsilon):
+        with pytest.raises(DomainError, match="epsilon must be positive"):
+            chain(games["example_3.json"], epsilon)
 
     def test_stationary_solve_keeps_near_zero_mass_above_the_floor(self, scenarios):
         # masses reach down to 1e-20 here; a linear solve of the chain left

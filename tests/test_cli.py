@@ -245,6 +245,19 @@ class TestAnalyze:
         assert obj["stationary_optimal_mass"] > 0.999
         assert "scenario" in obj and "optimum" not in obj
 
+    @pytest.mark.parametrize("epsilon", ["0", "-0.2"])
+    def test_stationary_rejects_a_non_positive_epsilon(self, capsys, epsilon):
+        code, _, err = run_cli(
+            capsys,
+            "analyze",
+            example("example_3.json"),
+            "--stationary",
+            "--epsilon",
+            epsilon,
+        )
+        assert code == 2
+        assert "epsilon must be positive" in err
+
     def test_nash_only_skips_the_optimum(self, capsys):
         code, out, _ = run_cli(
             capsys, "analyze", example("example_3.json"), "--nash"

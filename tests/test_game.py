@@ -192,6 +192,17 @@ class TestProfileStateAgainstNaive:
                 state.switch(robot_id, action_id)
                 assert state.global_value() == global_value(game, state.plan())
 
+    def test_switch_rejects_an_action_id_out_of_range(self, games):
+        game = games["example_3.json"]
+        state = ProfileState(game, JointPlan((0, 0)))
+        for action_id in (-1, 3, 7):
+            with pytest.raises(
+                DomainError, match=rf"robot 1: action id {action_id} outside 0\.\.2"
+            ):
+                state.switch(1, action_id)
+        assert state.plan() == JointPlan((0, 0))
+        assert state.global_value() == global_value(game, state.plan())
+
     def test_repeated_evaluation_is_stable(self, games):
         game = games["example_3.json"]
         state = ProfileState(game, JointPlan((0, 1)))

@@ -316,6 +316,24 @@ class TestEpisodeSuites:
         with pytest.raises(ValidationError, match="task id 9"):
             load_episodes(path)
 
+    def test_unhashable_task_reference(self, tmp_path):
+        path = self.write_suite(tmp_path, [{"name": "one", "tasks": [1, [1]]}])
+        with pytest.raises(
+            ValidationError,
+            match=r"suite\.json: episodes\[0\]\.tasks\[1\]: task id \[1\]",
+        ):
+            load_episodes(path)
+
+    def test_defaults_must_be_an_object(self, tmp_path):
+        path = self.write_suite(
+            tmp_path, [{"name": "one", "tasks": [1]}], defaults=[1, 2]
+        )
+        with pytest.raises(
+            ValidationError,
+            match=r"suite\.json: episodes\.defaults: expected an object",
+        ):
+            load_episodes(path)
+
     def test_duplicate_episode_names(self, tmp_path):
         path = self.write_suite(
             tmp_path,
