@@ -15,7 +15,6 @@ from fractions import Fraction
 from itertools import product
 
 import numpy as np
-import scipy.sparse
 
 from . import actions as actions_mod
 from . import game as game_mod
@@ -242,6 +241,8 @@ def lll_transition_matrix(game, epsilon, budget=10_000):
     flat C-order indices over the action-id product. Rows sum to 1;
     self-loops arise whenever the sampled action is the current one.
     """
+    import scipy.sparse  # the only scipy use; kept off the import path
+
     _check_epsilon(epsilon)
     shape, size = _profile_shape(game, budget)
     n = game.n_robots

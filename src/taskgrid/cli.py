@@ -185,6 +185,8 @@ def cmd_plan(args):
 
 
 def cmd_analyze(args):
+    if args.stationary:
+        learning._check_epsilon(args.epsilon)
     label, sc = _single_game(args)
     game = scenario.build_game(sc)
     wants_all = not (args.nash or args.optimum or args.poa or args.stationary)

@@ -9,7 +9,7 @@ class ValidationError(TaskgridError):
     """A scenario file or constructed object violates a structural rule.
 
     The message identifies the offending field or element, e.g.
-    ``tasks[3].departure: must be greater than arrival``.
+    ``tasks[3].id: must be an integer or a string``.
     """
 
 

@@ -15,6 +15,7 @@ incremental engine for learning and enumeration inner loops and is tested
 against them.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,60 @@ class JointPlan:
         ids = list(self.action_ids)
         ids[index] = action_id
         return JointPlan(tuple(ids))
+
+
+def _is_integer(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_setup(grid, horizon, robot_stations, tasks):
+    """Every rule on a game's inputs, each message naming the scenario field.
+
+    Scenario files, episode suites and ``GameInstance`` all call this, so one
+    bad input fails with one ``ValidationError`` whichever way it arrives.
+    """
+    if not _is_integer(horizon):
+        raise ValidationError("scenario.horizon: must be an integer")
+    if horizon < 1:
+        raise ValidationError("scenario.horizon: must be at least 1")
+    if not robot_stations:
+        raise ValidationError("scenario.robots: at least one robot required")
+    n_stations = len(grid.stations)
+    for i, s in enumerate(robot_stations):
+        if not _is_integer(s):
+            raise ValidationError(f"robots[{i}]: expected a station number")
+        if not 1 <= s <= n_stations:
+            raise ValidationError(
+                f"robots[{i}]: station number {s} outside 1..{n_stations}"
+            )
+    cap = len(robot_stations)
+    for i, task in enumerate(tasks):
+        where = f"tasks[{i}]"
+        if not (_is_integer(task.id) or isinstance(task.id, str)):
+            raise ValidationError(f"{where}.id: must be an integer or a string")
+        if task.departure > horizon:
+            raise ValidationError(
+                f"{where}: departure {task.departure} exceeds the horizon {horizon}"
+            )
+        if not grid.is_feasible(task.location):
+            raise ValidationError(
+                f"{where}: location {task.location} is an obstacle or out of bounds"
+            )
+        if task.value.kind == "table":
+            try:
+                monotone = tasks_mod.validate_monotonicity(
+                    task.value, task.window_length, cap
+                )
+            except DomainError as exc:
+                raise ValidationError(f"{where}.value: {exc}") from None
+            if not monotone:
+                raise ValidationError(
+                    f"{where}.value: table is not monotone over caps 0..{cap}"
+                )
+    ids = [task.id for task in tasks]
+    if len(set(ids)) != len(ids):
+        dupes = sorted({str(i) for i in ids if ids.count(i) > 1})
+        raise ValidationError(f"tasks: duplicate ids {', '.join(dupes)}")
 
 
 class GameInstance:
@@ -68,44 +123,12 @@ class GameInstance:
         signature_budget=actions_mod.DEFAULT_SIGNATURE_BUDGET,
         extension_budget=actions_mod.DEFAULT_EXTENSION_BUDGET,
     ):
-        if horizon < 1:
-            raise ValidationError("horizon must be at least 1")
+        robot_stations, tasks = tuple(robot_stations), tuple(tasks)
+        _check_setup(grid, horizon, robot_stations, tasks)
         self.grid = grid
         self.horizon = horizon
         self.robot_stations = tuple(int(s) for s in robot_stations)
-        if not self.robot_stations:
-            raise ValidationError("at least one robot is required")
-        for s in self.robot_stations:
-            grid.station(s)  # range check
-        self.tasks = tuple(tasks)
-        ids = [task.id for task in self.tasks]
-        if len(set(ids)) != len(ids):
-            raise ValidationError("task ids must be unique")
-        for i, task in enumerate(self.tasks):
-            if not grid.is_feasible(task.location):
-                raise ValidationError(
-                    f"tasks[{i}] (id {task.id}): location {task.location} "
-                    "is not a feasible cell"
-                )
-            if task.departure > horizon:
-                raise ValidationError(
-                    f"tasks[{i}] (id {task.id}): departure {task.departure} "
-                    f"exceeds the horizon {horizon}"
-                )
-            if task.value.kind == "table":
-                try:
-                    monotone = tasks_mod.validate_monotonicity(
-                        task.value, task.window_length, len(self.robot_stations)
-                    )
-                except DomainError as exc:
-                    raise ValidationError(
-                        f"tasks[{i}] (id {task.id}): {exc}"
-                    ) from None
-                if not monotone:
-                    raise ValidationError(
-                        f"tasks[{i}] (id {task.id}): table value function "
-                        "is not monotone"
-                    )
+        self.tasks = tasks
 
         overlaps = tasks_mod.check_no_overlap(self.tasks)
         if mode == "auto":

@@ -45,9 +45,8 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from . import tasks as tasks_mod
 from .errors import DomainError, ValidationError
-from .game import GameInstance
+from .game import GameInstance, _check_setup
 from .grid import Grid
 from .tasks import Task, ValueFunction
 
@@ -177,17 +176,20 @@ def _parse_value(obj, where):
     raise ValidationError(f"{where}.kind: unknown value kind {kind!r}")
 
 
-def parse_scenario(data):
-    """Parse and validate scenario JSON given as bytes or str."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
+def _json_object(data):
+    """Decode JSON text, as str or UTF-8 bytes, whose top level is an object."""
     try:
-        obj = json.loads(data)
-    except json.JSONDecodeError as exc:
+        obj = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
         raise ValidationError(f"not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
-        raise ValidationError("scenario: top level must be an object")
-    return _scenario_from_object(obj)
+        raise ValidationError("top level must be an object")
+    return obj
+
+
+def parse_scenario(data):
+    """Parse and validate scenario JSON given as bytes or str."""
+    return _scenario_from_object(_json_object(data))
 
 
 def _scenario_from_object(obj):
@@ -211,20 +213,7 @@ def _scenario_from_object(obj):
     grid = Grid(width, height, obstacles=obstacles, stations=stations)
 
     horizon = _need(obj, "horizon", int, "scenario")
-    if horizon < 1:
-        raise ValidationError("scenario.horizon: must be at least 1")
-
     robots = _need(obj, "robots", list, "scenario")
-    if not robots:
-        raise ValidationError("scenario.robots: at least one robot required")
-    for i, s in enumerate(robots):
-        if not isinstance(s, int) or isinstance(s, bool):
-            raise ValidationError(f"robots[{i}]: expected a station number")
-        if not 1 <= s <= len(stations):
-            raise ValidationError(
-                f"robots[{i}]: station number {s} outside 1..{len(stations)}"
-            )
-
     raw_tasks = _need(obj, "tasks", list, "scenario")
     parsed_tasks = []
     for i, t in enumerate(raw_tasks):
@@ -240,39 +229,11 @@ def _scenario_from_object(obj):
         arrival = _need(t, "arrival", int, where)
         departure = _need(t, "departure", int, where)
         value = _parse_value(_need(t, "value", dict, where), f"{where}.value")
-        if arrival >= departure:
-            raise ValidationError(
-                f"{where}: departure {departure} must be greater than arrival {arrival}"
-            )
-        if departure > horizon:
-            raise ValidationError(
-                f"{where}: departure {departure} exceeds the horizon {horizon}"
-            )
-        if not grid.is_feasible(location):
-            raise ValidationError(
-                f"{where}: location {location} is an obstacle or out of bounds"
-            )
         try:
-            task = Task(t["id"], location, arrival, departure, value)
+            parsed_tasks.append(Task(t["id"], location, arrival, departure, value))
         except ValidationError as exc:
             raise ValidationError(f"{where}: {exc}") from None
-        if value.kind == "table":
-            try:
-                monotone = tasks_mod.validate_monotonicity(
-                    value, task.window_length, len(robots)
-                )
-            except DomainError as exc:
-                raise ValidationError(f"{where}.value: {exc}") from None
-            if not monotone:
-                raise ValidationError(
-                    f"{where}.value: table is not monotone over caps 0..{len(robots)}"
-                )
-        parsed_tasks.append(task)
-    ids = [task.id for task in parsed_tasks]
-    if len(set(ids)) != len(ids):
-        dupes = sorted({str(i) for i in ids if ids.count(i) > 1})
-        raise ValidationError(f"tasks: duplicate ids {', '.join(dupes)}")
-
+    _check_setup(grid, horizon, robots, parsed_tasks)
     return Scenario(
         grid=grid,
         horizon=horizon,
@@ -342,20 +303,24 @@ def scenario_digest(scenario):
     return hashlib.sha256(serialize_scenario(scenario).encode("utf-8")).hexdigest()
 
 
-def _read_text(path):
+def _load(path, build):
+    """``build(obj, directory)`` on the JSON object that ``path`` holds.
+
+    The file is read once, and every error is prefixed with the path.
+    """
     try:
-        return Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ValidationError(f"{path}: cannot read: {exc}") from None
+    try:
+        return build(_json_object(data), Path(path).parent)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def load_scenario(path):
     """Load a plain scenario file from disk."""
-    text = _read_text(path)
-    try:
-        return parse_scenario(text)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+    return _load(path, lambda obj, _: _scenario_from_object(obj))
 
 
 def is_episode_object(obj):
@@ -364,15 +329,7 @@ def is_episode_object(obj):
 
 def load_episodes(path):
     """Load an episode-suite file, resolving task references."""
-    path = Path(path)
-    try:
-        obj = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: not valid JSON: {exc}") from None
-    try:
-        return _episodes_from_object(obj, path.parent)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+    return _load(path, _episodes_from_object)
 
 
 def _episodes_from_object(obj, directory):
@@ -411,6 +368,10 @@ def _episodes_from_object(obj, directory):
                 raise ValidationError(
                     f"{where}.tasks[{k}]: task id {tid!r} not found in {tasks_ref}"
                 ) from None
+        try:
+            _check_setup(base.grid, horizon, robots, chosen)
+        except ValidationError as exc:
+            raise ValidationError(f"{where}: {exc}") from None
         scenario = Scenario(
             grid=base.grid,
             horizon=horizon,
@@ -418,27 +379,21 @@ def _episodes_from_object(obj, directory):
             tasks=tuple(chosen),
             defaults=defaults,
         )
-        # re-validate the assembled episode through the canonical parser
-        scenario = parse_scenario(serialize_scenario(scenario))
         episodes.append((name, scenario))
     if not episodes:
         raise ValidationError("episodes: at least one episode required")
     return EpisodeSuite(episodes=tuple(episodes))
 
 
+def _scenario_or_episodes(obj, directory):
+    if is_episode_object(obj):
+        return _episodes_from_object(obj, directory)
+    return _scenario_from_object(obj)
+
+
 def load_any(path):
     """Load either file kind: returns a Scenario or an EpisodeSuite."""
-    text = _read_text(path)
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: not valid JSON: {exc}") from None
-    if is_episode_object(obj):
-        return load_episodes(path)
-    try:
-        return _scenario_from_object(obj)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+    return _load(path, _scenario_or_episodes)
 
 
 def build_game(scenario, mode="auto", **budgets):

@@ -173,7 +173,8 @@ class Task:
             raise ValidationError(f"task {self.id}: arrival must be non-negative")
         if self.departure <= self.arrival:
             raise ValidationError(
-                f"task {self.id}: departure must be greater than arrival"
+                f"task {self.id}: departure {self.departure} must be greater "
+                f"than arrival {self.arrival}"
             )
 
     @property

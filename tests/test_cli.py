@@ -51,6 +51,14 @@ class TestValidate:
         assert err.startswith("error:")
         assert "bad.json" in err
 
+    @pytest.mark.parametrize("text", ["3", "null", '"abc"', "[1, 2]"])
+    def test_non_object_file_exits_2(self, capsys, tmp_path, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "validate", str(bad))
+        assert (code, out) == (2, "")
+        assert err == f"error: {bad}: top level must be an object\n"
+
 
 class TestActions:
     def test_sizes_per_robot(self, capsys):
@@ -247,16 +255,19 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("epsilon", ["0", "-0.2"])
     def test_stationary_rejects_a_non_positive_epsilon(self, capsys, epsilon):
-        code, _, err = run_cli(
+        code, out, err = run_cli(
             capsys,
             "analyze",
             example("example_3.json"),
+            "--optimum",
+            "--nash",
             "--stationary",
             "--epsilon",
             epsilon,
         )
         assert code == 2
         assert "epsilon must be positive" in err
+        assert out == ""  # checked before any result is printed
 
     def test_nash_only_skips_the_optimum(self, capsys):
         code, out, _ = run_cli(
@@ -388,25 +399,36 @@ class TestBatch:
         assert "not valid JSON" in err
 
 
+def run_child(*argv):
+    """Run this interpreter on ``argv``, importing this copy of the package."""
+    import os
+    import subprocess
+    import sys
+
+    import taskgrid
+
+    src = os.path.dirname(os.path.dirname(taskgrid.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+
+
 class TestParser:
     def test_module_entry_point(self):
-        import os
-        import subprocess
-        import sys
-
-        import taskgrid
-
-        # the child imports the same copy of the package as this process
-        src = os.path.dirname(os.path.dirname(taskgrid.__file__))
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        proc = subprocess.run(
-            [sys.executable, "-m", "taskgrid", "--version"],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=path),
-        )
+        proc = run_child("-m", "taskgrid", "--version")
         assert proc.returncode == 0
         assert proc.stdout.strip() == __version__
+
+    def test_import_leaves_scipy_unloaded(self):
+        proc = run_child(
+            "-c", "import sys, taskgrid; print('scipy' in sys.modules)"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -89,7 +89,7 @@ class TestConstructionValidation:
         grid = Grid(3, 3, stations=[(2, 2)])
         vf = ValueFunction.simple(1)
         tasks = [Task(1, (1, 1), 0, 2, vf), Task(1, (1, 2), 0, 2, vf)]
-        with pytest.raises(ValidationError, match="unique"):
+        with pytest.raises(ValidationError, match="duplicate ids 1"):
             GameInstance(grid, 2, [1], tasks)
 
     def test_departure_beyond_horizon(self):
@@ -101,7 +101,7 @@ class TestConstructionValidation:
     def test_task_on_obstacle(self):
         grid = Grid(3, 3, obstacles=[(1, 1)], stations=[(2, 2)])
         tasks = [Task(1, (1, 1), 0, 2, ValueFunction.simple(1))]
-        with pytest.raises(ValidationError, match="not a feasible cell"):
+        with pytest.raises(ValidationError, match="obstacle or out of bounds"):
             GameInstance(grid, 2, [1], tasks)
 
     def test_non_monotone_table_rejected(self):
@@ -116,7 +116,7 @@ class TestConstructionValidation:
         partial = ValueFunction.table([((0, 0), 0)], 1)
         tasks = [Task(1, (1, 1), 1, 3, partial)]
         with pytest.raises(
-            ValidationError, match=r"tasks\[0\] \(id 1\): .*counter \(1, 0\)"
+            ValidationError, match=r"tasks\[0\]\.value: .*counter \(1, 0\)"
         ):
             GameInstance(grid, 3, [1], tasks)
 
@@ -124,12 +124,14 @@ class TestConstructionValidation:
         grid = Grid(3, 3, stations=[(2, 2)])
         with pytest.raises(ValidationError):
             GameInstance(grid, 2, [1], [], mode="fast")
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError, match=r"robots\[0\]: station number 2"):
             GameInstance(grid, 2, [2], [])
         with pytest.raises(ValidationError):
             GameInstance(grid, 2, [], [])
         with pytest.raises(ValidationError):
             GameInstance(grid, 0, [1], [])
+        with pytest.raises(ValidationError, match="horizon: must be an integer"):
+            GameInstance(grid, 2.5, [1], [])
 
     def test_validate_plan(self, games):
         game = games["example_3.json"]

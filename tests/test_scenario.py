@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -6,8 +7,12 @@ from taskgrid import (
     BudgetExceededError,
     DomainError,
     EpisodeSuite,
+    GameInstance,
+    Grid,
     Scenario,
+    Task,
     ValidationError,
+    ValueFunction,
     build_game,
     fixture_names,
     fixture_path,
@@ -100,6 +105,15 @@ class TestDiagnostics:
         with pytest.raises(ValidationError, match="top level"):
             parse_scenario("[1, 2]")
 
+    def test_bytes_that_are_not_utf8(self, tmp_path):
+        with pytest.raises(ValidationError, match="not valid JSON"):
+            parse_scenario(b"\xff")
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b"\xff")
+        for loader in (load_scenario, load_any, load_episodes):
+            with pytest.raises(ValidationError, match="latin1.json: not valid JSON"):
+                loader(bad)
+
     def test_unknown_top_level_field(self):
         obj = minimal_object()
         obj["name"] = "x"
@@ -182,6 +196,17 @@ class TestDiagnostics:
         with pytest.raises(ValidationError, match="obstacle or out of bounds"):
             parse_object(obj)
 
+    @pytest.mark.parametrize("bad_id", [[1], True, 1.5, None])
+    def test_task_id_must_be_an_integer_or_a_string(self, bad_id):
+        obj = minimal_object()
+        obj["tasks"][0]["id"] = bad_id
+        rule = r"tasks\[0\]\.id: must be an integer or a string"
+        with pytest.raises(ValidationError, match=rule):
+            parse_object(obj)
+        task = Task(bad_id, (1, 1), 0, 3, ValueFunction.simple(1))
+        with pytest.raises(ValidationError, match=rule):
+            GameInstance(Grid(3, 3, stations=[(2, 2)]), 3, [1], [task])
+
     def test_duplicate_task_ids_listed(self):
         obj = minimal_object()
         obj["tasks"].append(dict(obj["tasks"][0], location=[1, 2]))
@@ -262,6 +287,51 @@ class TestDiagnostics:
                 loader(tmp_path / "absent.json")
 
 
+def _task(**changes):
+    spec = dict(id=1, location=(1, 1), arrival=0, departure=3,
+                value=ValueFunction.simple(1))
+    spec.update(changes)
+    return Task(**spec)
+
+
+ONE_RULE_CASES = {
+    "bad station": ({"robot_stations": (2,)}, r"robots\[0\]: station number 2"),
+    "duplicate id": (
+        {"tasks": (_task(), _task(location=(1, 2)))}, "tasks: duplicate ids 1"
+    ),
+    "bad id type": ({"tasks": (_task(id=1.5),)}, r"tasks\[0\]\.id: must be"),
+    "infeasible location": (
+        {"tasks": (_task(location=(3, 1)),)}, "obstacle or out of bounds"
+    ),
+    "departure past the horizon": (
+        {"tasks": (_task(departure=4),)}, "departure 4 exceeds the horizon 3"
+    ),
+    "non-monotone table": (
+        {"tasks": (_task(value=ValueFunction.table(
+            [((0, 0, 0), 2), ((1, 0, 0), 0)], 2, default=0)),)},
+        r"tasks\[0\]\.value: table is not monotone",
+    ),
+    "table missing an entry": (
+        {"tasks": (_task(arrival=1, value=ValueFunction.table(
+            [((0, 0), 0)], 1)),)},
+        r"tasks\[0\]\.value: .*no entry for counter \(1, 0\)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", ONE_RULE_CASES)
+def test_file_and_constructor_break_a_rule_with_one_message(case):
+    """A bad input fails alike as a scenario file and as a direct game."""
+    changes, rule = ONE_RULE_CASES[case]
+    base = parse_object(minimal_object())
+    bad = dataclasses.replace(base, **changes)
+    with pytest.raises(ValidationError, match=rule) as from_file:
+        parse_scenario(serialize_scenario(bad))
+    with pytest.raises(ValidationError, match=rule) as from_game:
+        GameInstance(bad.grid, bad.horizon, bad.robot_stations, bad.tasks)
+    assert str(from_file.value) == str(from_game.value)
+
+
 class TestEpisodeSuites:
     def test_shipped_suite_resolves_task_references(self, episode_suite):
         assert episode_suite.names() == (
@@ -321,6 +391,23 @@ class TestEpisodeSuites:
         with pytest.raises(
             ValidationError,
             match=r"suite\.json: episodes\[0\]\.tasks\[1\]: task id \[1\]",
+        ):
+            load_episodes(path)
+
+    @pytest.mark.parametrize(
+        "tasks, robots, rule",
+        [
+            ([1, 1], [1], "tasks: duplicate ids 1"),
+            ([1], [5], r"robots\[0\]: station number 5 outside 1\.\.1"),
+        ],
+        ids=["duplicate id", "bad station"],
+    )
+    def test_an_episode_breaking_a_rule_is_named(self, tmp_path, tasks, robots, rule):
+        path = self.write_suite(
+            tmp_path, [{"name": "one", "tasks": tasks}], robots=robots
+        )
+        with pytest.raises(
+            ValidationError, match=r"suite\.json: episodes\[0\]: " + rule
         ):
             load_episodes(path)
 
