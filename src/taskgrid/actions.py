@@ -14,15 +14,21 @@ Construction: a forward search over (time, cell, signature-so-far) states
 enumerates the achievable signatures, pruning states that cannot return to
 the station in the remaining time and, per (time, cell) group, signatures
 dominated by a superset (any completion of the dominated signature is also a
-completion of the dominating one). For each maximal signature the
-lexicographically smallest realizing trajectory follows memoized first
-moves that can still finish.
+completion of the dominating one). Signatures are bitmasks over the slots,
+and the slots are sorted by ``(t, cell)``, so bit order is time order. For
+each maximal signature the lexicographically smallest realizing trajectory
+follows memoized first moves that can still finish. One memo per station,
+keyed by ``(t, cell, remaining)``, serves every signature: a state whose
+``remaining`` still holds a bit of a slot before ``t`` is dead and is cut
+with one mask test, and in every live state ``remaining`` is just the
+signature's slots from ``t`` on.
 
 For task sets where one location hosts overlapping windows, a trajectory no
 longer determines which task a stay serves; extended actions append a
 per-step commitment sequence naming the served task.
 """
 
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import product
@@ -120,10 +126,12 @@ def _prune_dominated(masks):
     """Drop masks that are subsets of another mask in the group."""
     if len(masks) <= 1:
         return set(masks)
-    by_size = sorted(masks, key=lambda m: -bin(m).count("1"))
     kept = []
-    for m in by_size:
-        if not any(m | k == k for k in kept):
+    for m in sorted(masks, key=int.bit_count, reverse=True):
+        for k in kept:
+            if m & k == m:
+                break
+        else:
             kept.append(m)
     return set(kept)
 
@@ -171,17 +179,25 @@ def achievable_signatures(grid, station, horizon, tasks, budget=DEFAULT_SIGNATUR
     return final, slots
 
 
-def _lex_smallest_realizing(grid, station, horizon, slots, bit_of, mask):
-    """Lexicographically smallest trajectory whose signature is ``mask``.
+def _lex_smallest_realizing(grid, station, horizon, slots, masks):
+    """The smallest trajectory with each signature in ``masks``, in order.
 
-    A memo maps each ``(t, cell, remaining)`` state to its first move, in
+    Smallest is lexicographic over the cell sequence. A memo shared by every
+    mask maps each ``(t, cell, remaining)`` state to its first move, in
     neighbor order, that can still collect the remaining required stays and
     reach the station: ``(next cell, remaining after the move)``, or None
-    when no move can. The trajectory follows these moves from the station.
-    A stay at a slot in ``mask`` collects its bit; a stay at an active slot
-    outside ``mask`` is never taken, since it would enlarge the signature.
+    when no move can. A stay at an active slot is taken only if its bit is
+    in ``remaining``, so it collects that bit; any other stay at an active
+    slot would enlarge the signature. Slots are sorted by ``(t, cell)``, so
+    a state whose ``remaining`` still holds a bit of a slot before ``t`` can
+    never collect it and is dead at once. In a live state ``remaining`` is
+    exactly the mask's slots at time ``t`` and later, which is why the memo
+    depends on no mask.
     """
     dist = grid.distances_from(station)
+    bit_of = {slot: i for i, slot in enumerate(slots)}
+    # before[t]: the bits of the slots earlier than t, a prefix of the order
+    before = [(1 << bisect_left(slots, (t,))) - 1 for t in range(horizon + 1)]
     memo = {}
     missing = object()
 
@@ -189,6 +205,8 @@ def _lex_smallest_realizing(grid, station, horizon, slots, bit_of, mask):
         if t == horizon:
             # the empty move marks a finished trajectory
             return () if cell == station and remaining == 0 else None
+        if remaining & before[t]:
+            return None
         key = (t, cell, remaining)
         move = memo.get(key, missing)
         if move is not missing:
@@ -200,7 +218,7 @@ def _lex_smallest_realizing(grid, station, horizon, slots, bit_of, mask):
             for nb in grid.neighbors(cell):
                 rest = remaining
                 if nb == cell and b is not None:
-                    if not mask >> b & 1:
+                    if not remaining >> b & 1:
                         continue
                     rest = remaining & ~(1 << b)
                 if first_move(t + 1, nb, rest) is not None:
@@ -209,17 +227,23 @@ def _lex_smallest_realizing(grid, station, horizon, slots, bit_of, mask):
         memo[key] = move
         return move
 
-    positions = [station]
-    remaining = mask
-    for t in range(horizon):
-        move = first_move(t, positions[-1], remaining)
-        if move is None:
-            raise DomainError(
-                f"no trajectory realizes signature mask {mask:b} from {station}"
-            )
-        cell, remaining = move
-        positions.append(cell)
-    return tuple(positions)
+    trajectories = []
+    for mask in masks:
+        positions = [station]
+        remaining = mask
+        for t in range(horizon):
+            move = first_move(t, positions[-1], remaining)
+            if move is None:
+                raise DomainError(
+                    f"no trajectory realizes signature mask {mask:b} from {station}"
+                )
+            cell, remaining = move
+            positions.append(cell)
+        trajectories.append(tuple(positions))
+    # first_move refers to itself; freeing it now frees the memo on return
+    # rather than at a later cycle collection
+    del first_move
+    return tuple(trajectories)
 
 
 def build_minimal_action_set(
@@ -238,17 +262,15 @@ def build_minimal_action_set(
     if not masks:
         stay = (station,) * (horizon + 1)
         return ActionSet(station, horizon, (stay,), (frozenset(),))
-    bit_of = {slot: i for i, slot in enumerate(slots)}
 
     def decode(mask):
-        return tuple(slot for slot in slots if mask >> bit_of[slot] & 1)
+        return tuple(slot for i, slot in enumerate(slots) if mask >> i & 1)
 
-    ordered = sorted(masks, key=decode)
-    trajectories = tuple(
-        _lex_smallest_realizing(grid, station, horizon, slots, bit_of, m)
-        for m in ordered
+    ordered = sorted((decode(m), m) for m in masks)
+    trajectories = _lex_smallest_realizing(
+        grid, station, horizon, slots, [m for _, m in ordered]
     )
-    signatures = tuple(frozenset(decode(m)) for m in ordered)
+    signatures = tuple(frozenset(d) for d, _ in ordered)
     return ActionSet(station, horizon, trajectories, signatures)
 
 

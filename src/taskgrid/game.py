@@ -82,7 +82,7 @@ def _check_setup(grid, horizon, robot_stations, tasks):
             )
         if task.value.kind == "table":
             try:
-                monotone = tasks_mod.validate_monotonicity(
+                monotone = tasks_mod._table_is_monotone(
                     task.value, task.window_length, cap
                 )
             except DomainError as exc:
@@ -262,11 +262,23 @@ def counters(game, plan, task, exclude_robot=None):
     game.validate_plan(plan)
     if task.id not in game._task_index:
         raise DomainError(f"task id {task.id} is not part of this game")
+    return _count(game, _chosen(game, plan), task, exclude_robot)
+
+
+def _chosen(game, plan):
+    """``(robot id, action)`` for each robot of a validated plan."""
+    return [
+        (robot_id, game.actions_of(robot_id)[action_id])
+        for robot_id, action_id in zip(game.robot_ids, plan.action_ids)
+    ]
+
+
+def _count(game, chosen, task, exclude_robot=None):
+    """``counters`` over the ``_chosen`` actions, for a task of the game."""
     vec = [0] * task.window_length
-    for robot_id, action_id in zip(game.robot_ids, plan.action_ids):
+    for robot_id, action in chosen:
         if robot_id == exclude_robot:
             continue
-        action = game.actions_of(robot_id)[action_id]
         if game.mode == EXTENDED:
             traj, commits = action.trajectory, action.commitments
         else:
@@ -282,18 +294,20 @@ def counters(game, plan, task, exclude_robot=None):
 
 def global_value(game, plan):
     """Total value of completed tasks under the plan (the potential)."""
-    return sum(
-        task.value.evaluate(counters(game, plan, task)) for task in game.tasks
-    )
+    game.validate_plan(plan)
+    chosen = _chosen(game, plan)
+    return sum(task.value.evaluate(_count(game, chosen, task)) for task in game.tasks)
 
 
 def utility(game, plan, robot_id):
     """Marginal contribution of a robot: value with it minus value without it."""
+    game.validate_plan(plan)
+    chosen = _chosen(game, plan)
     total = 0
     for task in game.tasks:
-        with_robot = task.value.evaluate(counters(game, plan, task))
+        with_robot = task.value.evaluate(_count(game, chosen, task))
         without = task.value.evaluate(
-            counters(game, plan, task, exclude_robot=robot_id)
+            _count(game, chosen, task, exclude_robot=robot_id)
         )
         total += with_robot - without
     return total

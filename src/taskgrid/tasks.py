@@ -8,6 +8,7 @@ Every built-in variant is monotone: adding robots never lowers the value.
 
 import operator
 from dataclasses import dataclass
+from itertools import product
 
 from .errors import BudgetExceededError, DomainError, ValidationError
 
@@ -167,7 +168,7 @@ class Task:
 
     def __post_init__(self):
         object.__setattr__(self, "location", tuple(self.location))
-        if not (isinstance(self.arrival, int) and isinstance(self.departure, int)):
+        if not (_is_int(self.arrival) and _is_int(self.departure)):
             raise ValidationError(f"task {self.id}: window bounds must be integers")
         if self.arrival < 0:
             raise ValidationError(f"task {self.id}: arrival must be non-negative")
@@ -238,5 +239,52 @@ def validate_monotonicity(spec, window_len, robot_cap, budget=2_000_000):
             if c[i] < robot_cap:
                 bumped = c[:i] + (c[i] + 1,) + c[i + 1 :]
                 if spec.evaluate(bumped) < base:
+                    return False
+    return True
+
+
+def _table_is_monotone(spec, window_len, robot_cap):
+    """``validate_monotonicity`` for a table variant, from its entries alone.
+
+    Gives the same verdict, and raises the same ``DomainError`` for the same
+    first missing counter, without enumerating every counter vector. Two
+    adjacent counters that are both absent from the table both take the
+    default, so only the steps into and out of an in-range entry are
+    tested. Without a default every vector must be an entry; if one is
+    missing, the brute-force order stops at its first missing counter (or a
+    drop before it), and every vector before that is an entry, so that walk
+    is short.
+    """
+    span = range(robot_cap + 1)
+    table = {}
+    for counter, value in spec.entries:
+        # evaluate returns the first entry equal to the counter
+        if (
+            isinstance(counter, tuple)
+            and len(counter) == window_len
+            and all(e in span for e in counter)
+        ):
+            table.setdefault(counter, value)
+    default = spec.default
+    if default is None and len(table) < len(span) ** window_len:
+
+        def lookup(c):
+            # evaluate raises the missing-entry error for an absent counter
+            return table[c] if c in table else spec.evaluate(c)
+
+        for c in product(span, repeat=window_len):
+            base = lookup(c)
+            for i in range(window_len):
+                if c[i] < robot_cap:
+                    if lookup(c[:i] + (c[i] + 1,) + c[i + 1 :]) < base:
+                        return False
+        return True
+    for c, value in table.items():
+        for i in range(window_len):
+            if c[i] < robot_cap:
+                if table.get(c[:i] + (c[i] + 1,) + c[i + 1 :], default) < value:
+                    return False
+            if c[i] > 0:
+                if table.get(c[:i] + (c[i] - 1,) + c[i + 1 :], default) > value:
                     return False
     return True

@@ -53,10 +53,13 @@ def random_game(
     simple_only=False,
     profile_cap=20_000,
     max_attempts=50,
+    obstacle_rate=0.2,
 ):
     """A random plain-mode game whose joint action space fits ``profile_cap``."""
     for _ in range(max_attempts):
-        grid = random_grid(rng, max_side=max_side, n_stations=n_stations)
+        grid = random_grid(
+            rng, max_side=max_side, obstacle_rate=obstacle_rate, n_stations=n_stations
+        )
         horizon = int(rng.integers(2, max_horizon + 1))
         n_robots = int(rng.integers(1, max_robots + 1))
         robots = [

@@ -111,6 +111,18 @@ class TestConstructionValidation:
         with pytest.raises(ValidationError, match="monotone"):
             GameInstance(grid, 3, [1], tasks)
 
+    def test_seven_step_table_on_ten_robots(self):
+        grid = Grid(3, 3, stations=[(2, 2)])
+        # 11**7 counter vectors: past the brute-force check's budget
+        entries = [((0,) * 7, 0), ((10,) * 7, 2)]
+        table = ValueFunction.table(entries, 2, default=1)
+        game = GameInstance(grid, 8, [1] * 10, [Task(1, (1, 1), 0, 7, table)])
+        assert game.n_robots == 10
+        # (3, 0, ...) -> 2 drops to the default 1 at (4, 0, ...)
+        drop = ValueFunction.table(entries + [((3,) + (0,) * 6, 2)], 2, default=1)
+        with pytest.raises(ValidationError, match="not monotone"):
+            GameInstance(grid, 8, [1] * 10, [Task(1, (1, 1), 0, 7, drop)])
+
     def test_table_without_an_entry_or_default_names_the_task(self):
         grid = Grid(3, 1, stations=[(2, 1)])
         partial = ValueFunction.table([((0, 0), 0)], 1)

@@ -6,11 +6,20 @@ drawn seeds, keeping the suite deterministic.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from support import random_game
 
-from taskgrid import ProfileState, global_value, profile_values, utility
+from taskgrid import (
+    ProfileState,
+    build_minimal_action_set,
+    enumerate_feasible_trajectories,
+    global_value,
+    profile_values,
+    signature,
+    utility,
+    verify_cover,
+)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -28,3 +37,28 @@ def test_fast_paths_match_the_naive_oracles(seed):
             for a in range(game.n_actions(robot_id))
         ]
     assert profile_values(game)[plan.action_ids] == global_value(game, plan)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=seeds)
+def test_action_sets_match_the_enumerated_trajectories(seed):
+    rng = np.random.default_rng(seed)
+    game = random_game(
+        rng, max_tasks=5, max_horizon=6, n_stations=2, obstacle_rate=0.4
+    )
+    grid, horizon, tasks = game.grid, game.horizon, game.tasks
+    assume(grid.obstacles)
+    for station in grid.stations:
+        actions = build_minimal_action_set(grid, station, horizon, tasks)
+        by_signature = {}
+        for traj in enumerate_feasible_trajectories(grid, station, horizon):
+            by_signature.setdefault(signature(traj, tasks), []).append(traj)
+        for traj, sig in zip(actions.trajectories, actions.signatures):
+            if sig:
+                assert traj == min(by_signature[sig])
+            else:  # nothing servable: the set is the stay-at-station action
+                assert traj == (station,) * (horizon + 1)
+        assert verify_cover(actions, grid, station, horizon, tasks)
+        sigs = actions.signatures
+        for i, a in enumerate(sigs):
+            assert not any(a <= b for b in sigs[:i] + sigs[i + 1 :])

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from taskgrid import (
     evaluate_value,
     validate_monotonicity,
 )
+from taskgrid.tasks import _table_is_monotone
 
 
 class TestSimple:
@@ -142,6 +145,12 @@ class TestTask:
         with pytest.raises(ValidationError):
             Task(1, (1, 1), 0, 2.0, vf)
 
+    def test_bool_window_bounds_are_rejected(self):
+        vf = ValueFunction.simple(1)
+        for arrival, departure in ((False, True), (0, True), (False, 2)):
+            with pytest.raises(ValidationError, match="window bounds"):
+                Task(1, (1, 1), arrival, departure, vf)
+
 
 class TestOverlap:
     def test_shared_location_with_intersecting_windows(self):
@@ -216,3 +225,36 @@ class TestMonotonicity:
             i = int(rng.integers(length))
             bumped = counter[:i] + (counter[i] + 1,) + counter[i + 1 :]
             assert vf.evaluate(bumped) >= vf.evaluate(counter)
+
+
+def _verdict(check, spec, window_len, robot_cap):
+    try:
+        return check(spec, window_len, robot_cap)
+    except DomainError as exc:
+        return str(exc)
+
+
+class TestTableGate:
+    def test_entry_local_check_agrees_with_the_brute_force(self):
+        rng = np.random.default_rng(10)
+        seen = set()
+        for _ in range(400):
+            length = int(rng.integers(1, 4))
+            cap = int(rng.integers(1, 4))
+            dense = rng.random() < 0.5
+            entries = []
+            # counters up to cap + 1, so some entries lie out of range
+            for counter in product(range(cap + 2), repeat=length):
+                if rng.random() < (0.95 if dense else 0.4):
+                    value = sum(counter) // 2
+                    if rng.random() < 0.1:
+                        value += int(rng.integers(-1, 2))
+                    entries.append((counter, min(max(value, 0), 5)))
+            if not entries:
+                continue
+            default = None if rng.random() < 0.5 else int(rng.integers(0, 3))
+            vf = ValueFunction.table(entries, 5, default=default)
+            brute = _verdict(validate_monotonicity, vf, length, cap)
+            assert _verdict(_table_is_monotone, vf, length, cap) == brute
+            seen.add(brute if isinstance(brute, bool) else "missing")
+        assert seen == {True, False, "missing"}
