@@ -32,6 +32,7 @@ from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 
 from .errors import BudgetExceededError, DomainError
 from .grid import enumerate_feasible_trajectories
@@ -103,23 +104,30 @@ class ExtendedAction:
     commitments: tuple
 
 
+def _service_index(horizon, tasks):
+    """``(t, cell)`` -> indices of the tasks a stay at ``cell`` serves at step ``t``.
+
+    This is the one place the fast path states the service rule.
+    """
+    index = {}
+    for j, task in enumerate(tasks):
+        for t in range(task.arrival, min(task.departure, horizon)):
+            index.setdefault((t, task.location), []).append(j)
+    return index
+
+
 def _service_slots(grid, station, horizon, tasks):
     """Reachable (t, cell) pairs some task makes servable from this station.
 
-    A slot (t, cell) is included iff a task at ``cell`` is active at ``t``,
-    a stay is possible (t <= horizon - 1), and the station can reach the
-    cell by ``t`` and return in the remaining ``horizon - t - 1`` steps.
+    A slot is a key of ``_service_index`` whose cell the station can reach
+    by ``t`` and return from in the remaining ``horizon - t - 1`` steps.
     """
     dist = grid.distances_from(station)
-    slots = set()
-    for task in tasks:
-        d = dist.get(task.location)
-        if d is None:
-            continue
-        for t in range(task.arrival, min(task.departure, horizon)):
-            if d <= t and d <= horizon - t - 1:
-                slots.add((t, task.location))
-    return sorted(slots)
+    return sorted(
+        (t, cell)
+        for t, cell in _service_index(horizon, tasks)
+        if dist.get(cell, horizon) <= min(t, horizon - t - 1)
+    )
 
 
 def _prune_dominated(masks):
@@ -298,23 +306,18 @@ def extend_action_set(action_set, tasks, budget=DEFAULT_EXTENSION_BUDGET):
     one, that task is committed; elsewhere the commitment is None. The
     result has the same size as the action set when no windows overlap.
     """
-    horizon = action_set.horizon
+    index = _service_index(action_set.horizon, tasks)
     out = []
     total = 0
-    for traj in action_set.trajectories:
-        options = []
-        for t in range(horizon):
-            ids = sorted(theta(traj, tasks, t), key=repr)
-            options.append(ids if ids else [None])
-        count = 1
-        for opt in options:
-            count *= len(opt)
-        total += count
+    for traj, sig in zip(action_set.trajectories, action_set.signatures):
+        options = [[None]] * action_set.horizon
+        for t, cell in sig:
+            options[t] = sorted((tasks[j].id for j in index[t, cell]), key=repr)
+        total += prod(map(len, options))
         if total > budget:
             raise BudgetExceededError(
                 f"extended-action expansion reached {total}, budget {budget}",
                 size=total,
             )
-        for combo in product(*options):
-            out.append(ExtendedAction(traj, tuple(combo)))
+        out.extend(ExtendedAction(traj, combo) for combo in product(*options))
     return out

@@ -81,6 +81,13 @@ def _check_setup(grid, horizon, robot_stations, tasks):
                 f"{where}: location {task.location} is an obstacle or out of bounds"
             )
         if task.value.kind == "table":
+            for counter, _ in task.value.entries:
+                if len(counter) != task.window_length:
+                    raise ValidationError(
+                        f"{where}.value: table counter {counter} has "
+                        f"{len(counter)} entries for a window of "
+                        f"{task.window_length} steps"
+                    )
             try:
                 monotone = tasks_mod._table_is_monotone(
                     task.value, task.window_length, cap
@@ -91,6 +98,10 @@ def _check_setup(grid, horizon, robot_stations, tasks):
                 raise ValidationError(
                     f"{where}.value: table is not monotone over caps 0..{cap}"
                 )
+    # the max_value sum bounds every total, utility and gain, which numpy
+    # holds in int64
+    if sum(task.value.max_value for task in tasks) >= 2**63:
+        raise ValidationError("tasks: the max_value sum must be below 2**63")
     ids = [task.id for task in tasks]
     if len(set(ids)) != len(ids):
         dupes = sorted({str(i) for i in ids if ids.count(i) > 1})
@@ -144,6 +155,7 @@ class GameInstance:
         self.mode = mode
 
         self._task_index = {task.id: i for i, task in enumerate(self.tasks)}
+        index = actions_mod._service_index(horizon, self.tasks)
         # action sets depend only on the station, so co-stationed robots share
         self.station_action_sets = {}
         self._station_actions = {}
@@ -160,12 +172,17 @@ class GameInstance:
                         base, self.tasks, budget=extension_budget
                     )
                 )
+                # (t, index of the task committed at t, or None)
+                stays = [enumerate(map(self._task_index.get, a.commitments)) for a in acts]
             else:
                 acts = base.trajectories
+                # without overlap a stay serves exactly one task
+                stays = [
+                    [(t, j) for t, cell in sorted(sig) for j in index[t, cell]]
+                    for sig in base.signatures
+                ]
             self._station_actions[number] = acts
-            self._station_contribs[number] = tuple(
-                self._contributions(a) for a in acts
-            )
+            self._station_contribs[number] = tuple(map(self._contributions, stays))
 
     # -- structure --------------------------------------------------------
 
@@ -207,22 +224,12 @@ class GameInstance:
         number = self.robot_stations[self.robot_index(robot_id)]
         return self._station_contribs[number][action_id]
 
-    def _contributions(self, action):
-        """Which counter entries an action increments, grouped by task."""
-        if self.mode == EXTENDED:
-            traj, commits = action.trajectory, action.commitments
-        else:
-            traj, commits = action, None
+    def _contributions(self, stays):
+        """Counter entries that ``(t, task index or None)`` stays increment, by task."""
         per_task = {}
-        for t in range(self.horizon):
-            if traj[t] != traj[t + 1]:
-                continue
-            for j, task in enumerate(self.tasks):
-                if task.location != traj[t] or not task.active_at(t):
-                    continue
-                if commits is not None and commits[t] != task.id:
-                    continue
-                per_task.setdefault(j, []).append(t - task.arrival)
+        for t, j in stays:
+            if j is not None:
+                per_task.setdefault(j, []).append(t - self.tasks[j].arrival)
         return tuple((j, tuple(offs)) for j, offs in sorted(per_task.items()))
 
     def validate_plan(self, plan):

@@ -17,15 +17,42 @@ tie-breaks). Batch run ``j`` uses ``base_seed + j``. Identical (game, config)
 inputs reproduce traces exactly.
 """
 
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .game import JointPlan, ProfileState
+from .game import JointPlan, ProfileState, _is_integer
 
 BEST_RESPONSE = "br"
 LOG_LINEAR = "lll"
+
+# input name -> (test, rule); LearningConfig, run_batch, the log-linear
+# kernels and scenario defaults all check their inputs here
+_INPUT_RULES = {
+    "algorithm": (
+        lambda v: v in (BEST_RESPONSE, LOG_LINEAR),
+        f"must be {BEST_RESPONSE!r} or {LOG_LINEAR!r}",
+    ),
+    "rounds": (lambda v: _is_integer(v) and v >= 1, "must be an integer of at least 1"),
+    "runs": (lambda v: _is_integer(v) and v >= 1, "must be an integer of at least 1"),
+    "seed": (lambda v: _is_integer(v) and v >= 0, "must be a non-negative integer"),
+    "epsilon": (
+        lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool) and v > 0,
+        "must be positive: a real number above 0, or inf",
+    ),
+}
+
+
+def _check_input(name, value, field=None, error=ValidationError):
+    """Raise ``error`` unless ``value`` passes the rule on input ``name``.
+
+    The message names ``field``, which defaults to ``name``.
+    """
+    test, rule = _INPUT_RULES[name]
+    if not test(value):
+        raise error(f"{field or name} {rule}")
 
 
 @dataclass(frozen=True)
@@ -42,14 +69,11 @@ class LearningConfig:
     initial: object = "random"
 
     def __post_init__(self):
-        if self.algorithm not in (BEST_RESPONSE, LOG_LINEAR):
-            raise ValidationError(
-                f"algorithm must be {BEST_RESPONSE!r} or {LOG_LINEAR!r}"
-            )
-        if self.rounds < 1:
-            raise ValidationError("rounds must be at least 1")
-        if self.algorithm == LOG_LINEAR and not self.epsilon > 0:
-            raise ValidationError("epsilon must be positive")
+        _check_input("algorithm", self.algorithm)
+        _check_input("rounds", self.rounds)
+        _check_input("seed", self.seed)
+        if self.algorithm == LOG_LINEAR:
+            _check_input("epsilon", self.epsilon)
 
 
 @dataclass
@@ -113,8 +137,11 @@ def lll_distribution(game, plan, robot_id, epsilon):
     """Softmax sampling distribution over the robot's full action set.
 
     Probabilities are proportional to exp(utility / epsilon). The maximum
-    utility is subtracted before exponentiation so every weight lies in
-    (0, 1]; all probabilities are strictly positive.
+    utility is subtracted, in exact integers, before the division by
+    epsilon, so every weight lies in [0, 1] and the best actions weigh 1 at
+    every epsilon. A positive epsilon gives every action positive
+    probability unless it underflows (below about 1e-308 times a utility
+    gap); ``epsilon = inf`` is valid and gives the uniform law.
     """
     _check_epsilon(epsilon)
     state = ProfileState(game, plan)
@@ -122,13 +149,15 @@ def lll_distribution(game, plan, robot_id, epsilon):
 
 
 def _check_epsilon(epsilon):
-    if not epsilon > 0:
-        raise DomainError("epsilon must be positive")
+    _check_input("epsilon", epsilon, error=DomainError)
 
 
 def _softmax(utilities, epsilon):
-    u = np.asarray(utilities, dtype=float) / epsilon
-    w = np.exp(u - u.max())
+    # integer utilities: the subtraction is exact, so no inf - inf at tiny
+    # epsilon; a gap whose quotient passes the float range becomes -inf
+    u = np.asarray(utilities)
+    with np.errstate(over="ignore"):
+        w = np.exp((u - u.max()) / epsilon)
     return w / w.sum()
 
 
@@ -194,8 +223,7 @@ def run_batch(game, config, n_runs, base_seed=None):
     Run ``j`` uses seed ``base_seed + j`` (``base_seed`` defaults to the
     config seed). Runs share nothing but the immutable game.
     """
-    if n_runs < 1:
-        raise ValidationError("n_runs must be at least 1")
+    _check_input("runs", n_runs)
     if base_seed is None:
         base_seed = config.seed
     traces = [run(game, replace(config, seed=base_seed + j)) for j in range(n_runs)]

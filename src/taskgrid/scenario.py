@@ -48,9 +48,8 @@ from pathlib import Path
 from .errors import DomainError, ValidationError
 from .game import GameInstance, _check_setup
 from .grid import Grid
+from .learning import _INPUT_RULES, _check_input
 from .tasks import Task, ValueFunction
-
-_LEARNING_DEFAULT_KEYS = {"algorithm", "epsilon", "rounds", "runs", "seed"}
 
 
 @dataclass(frozen=True)
@@ -248,9 +247,10 @@ def _learning_defaults(obj, where):
     defaults = obj.get("defaults", {})
     if not isinstance(defaults, dict):
         raise ValidationError(f"{where}.defaults: expected an object")
-    for key in defaults:
-        if key not in _LEARNING_DEFAULT_KEYS:
+    for key, value in defaults.items():
+        if key not in _INPUT_RULES:
             raise ValidationError(f"{where}.defaults.{key}: unknown field")
+        _check_input(key, value, f"{where}.defaults.{key}")
     return tuple(sorted(defaults.items()))
 
 

@@ -63,6 +63,9 @@ class ValueFunction:
             raise ValidationError("max_value must be an integer")
         if self.max_value <= 0:
             raise ValidationError("max_value must be positive")
+        for name in ("threshold", "heavy", "follow"):
+            if not _is_int(getattr(self, name)):
+                raise ValidationError(f"{name} must be an integer")
         if self.kind in ("threshold_max", "threshold_sum") and self.threshold < 1:
             raise ValidationError("threshold must be at least 1")
         if self.kind == "sequential_heavy_light":
@@ -71,7 +74,17 @@ class ValueFunction:
         if self.kind == "table":
             if not self.entries:
                 raise ValidationError("table variant requires entries")
-            for counter, value in self.entries:
+            try:
+                entries = tuple((tuple(c), v) for c, v in self.entries)
+            except (TypeError, ValueError):
+                raise ValidationError(
+                    "table entries must be (counter, value) pairs"
+                ) from None
+            # evaluate compares whole tuples, so a list counter would never match
+            object.__setattr__(self, "entries", entries)
+            for counter, value in entries:
+                if not all(_is_int(e) for e in counter):
+                    raise ValidationError(f"table counter {counter} must hold integers")
                 if any(e < 0 for e in counter):
                     raise ValidationError(f"table counter {counter} has a negative entry")
                 if not _is_int(value):
@@ -253,17 +266,14 @@ def _table_is_monotone(spec, window_len, robot_cap):
     tested. Without a default every vector must be an entry; if one is
     missing, the brute-force order stops at its first missing counter (or a
     drop before it), and every vector before that is an entry, so that walk
-    is short.
+    is short. Every entry's counter must have ``window_len`` entries, which
+    ``game._check_setup`` checks first.
     """
     span = range(robot_cap + 1)
     table = {}
     for counter, value in spec.entries:
         # evaluate returns the first entry equal to the counter
-        if (
-            isinstance(counter, tuple)
-            and len(counter) == window_len
-            and all(e in span for e in counter)
-        ):
+        if all(e in span for e in counter):
             table.setdefault(counter, value)
     default = spec.default
     if default is None and len(table) < len(span) ** window_len:

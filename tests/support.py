@@ -2,12 +2,15 @@
 
 All generators draw from a caller-provided numpy Generator, so identical
 seeds reproduce identical instances. Tasks are placed at distinct locations,
-which keeps every generated game in plain mode.
+which keeps a generated game in plain mode unless ``overlap_and_tables``
+adds a task sharing a location and part of a window with another.
 """
+
+from itertools import product
 
 import numpy as np
 
-from taskgrid import GameInstance, Grid, Task, ValueFunction
+from taskgrid import GameInstance, Grid, Task, ValueFunction, counters
 from taskgrid.errors import BudgetExceededError
 
 
@@ -27,11 +30,37 @@ def random_grid(rng, max_side=5, obstacle_rate=0.2, n_stations=1):
     return Grid(width, height, obstacles=obstacles, stations=stations)
 
 
-def random_value(rng, simple_only=False, max_value=5):
+def random_table(rng, window_length, robot_cap, max_value):
+    """A monotone table: the weighted robot count, capped at ``max_value``.
+
+    Half the draws list every counter up to ``robot_cap``; the others list
+    only the counters worth less than ``max_value``, which is the default.
+    """
+    weights = [int(w) for w in rng.integers(0, 3, size=window_length)]
+    with_default = bool(rng.random() < 0.5)
+    entries = []
+    for counter in product(range(robot_cap + 1), repeat=window_length):
+        value = min(max_value, sum(w * c for w, c in zip(weights, counter)))
+        if not (with_default and value == max_value):
+            entries.append((counter, value))
+    return ValueFunction.table(
+        entries, max_value, default=max_value if with_default else None
+    )
+
+
+def random_value(rng, simple_only=False, max_value=5, table_shape=None):
+    """A random value function.
+
+    ``table_shape``, a (window length, robot cap) pair, adds monotone tables
+    to the kinds drawn; without it no table is drawn and the other kinds
+    take the same draws.
+    """
     v = int(rng.integers(1, max_value + 1))
     if simple_only:
         return ValueFunction.simple(v)
-    kind = int(rng.integers(4))
+    kind = int(rng.integers(4 if table_shape is None else 5))
+    if kind == 4:
+        return random_table(rng, *table_shape, v)
     if kind == 0:
         return ValueFunction.simple(v)
     if kind == 1:
@@ -54,8 +83,15 @@ def random_game(
     profile_cap=20_000,
     max_attempts=50,
     obstacle_rate=0.2,
+    overlap_and_tables=False,
 ):
-    """A random plain-mode game whose joint action space fits ``profile_cap``."""
+    """A random game whose joint action space fits ``profile_cap``.
+
+    ``overlap_and_tables`` adds one more task at a drawn task's location
+    with an overlapping window, which puts the game in extended mode, and
+    adds monotone ``table`` values to the value kinds drawn. Without it the
+    game is in plain mode and the draws are unchanged.
+    """
     for _ in range(max_attempts):
         grid = random_grid(
             rng, max_side=max_side, obstacle_rate=obstacle_rate, n_stations=n_stations
@@ -69,18 +105,19 @@ def random_game(
         m = min(int(rng.integers(1, max_tasks + 1)), len(cells) - 1)
         order = [int(i) for i in rng.permutation(len(cells))]
         tasks = []
-        for tid, i in enumerate(order[:m], start=1):
-            arrival = int(rng.integers(0, horizon))
+        locations = [cells[i] for i in order[:m]]
+        if overlap_and_tables and m:
+            locations.append(locations[int(rng.integers(m))])
+        for tid, location in enumerate(locations, start=1):
+            if tid > m:  # the overlap task opens inside the shared task's window
+                shared = tasks[locations.index(location)]
+                arrival = int(rng.integers(shared.arrival, shared.departure))
+            else:
+                arrival = int(rng.integers(0, horizon))
             departure = int(rng.integers(arrival + 1, horizon + 1))
-            tasks.append(
-                Task(
-                    tid,
-                    cells[i],
-                    arrival,
-                    departure,
-                    random_value(rng, simple_only=simple_only),
-                )
-            )
+            shape = (departure - arrival, n_robots) if overlap_and_tables else None
+            value = random_value(rng, simple_only=simple_only, table_shape=shape)
+            tasks.append(Task(tid, location, arrival, departure, value))
         try:
             game = GameInstance(grid, horizon, robots, tasks)
         except BudgetExceededError:
@@ -100,3 +137,29 @@ def random_plan_walk(rng, game, steps):
         robot_id = int(rng.integers(game.n_robots)) + 1
         moves.append((robot_id, int(rng.integers(game.n_actions(robot_id)))))
     return moves
+
+
+def assert_contributions_are_counter_differences(game, rng):
+    """Each action's contributions equal the counters its robot adds.
+
+    For the first robot of every station and each of its actions, against
+    a random rest of the plan: ``counters(plan) - counters(plan, robot
+    excluded)`` is 1 at exactly the window offsets that
+    ``contributions_of`` lists for the task, and 0 elsewhere.
+    """
+    plan = game.random_plan(rng)
+    first = {}
+    for robot_id, number in zip(game.robot_ids, game.robot_stations):
+        first.setdefault(number, robot_id)
+    for robot_id in first.values():
+        for action_id in range(game.n_actions(robot_id)):
+            chosen = plan.replace(robot_id - 1, action_id)
+            offsets = dict(game.contributions_of(robot_id, action_id))
+            for j, task in enumerate(game.tasks):
+                want = [0] * task.window_length
+                for o in offsets.get(j, ()):
+                    want[o] += 1
+                with_robot = counters(game, chosen, task)
+                without = counters(game, chosen, task, exclude_robot=robot_id)
+                got = [a - b for a, b in zip(with_robot, without)]
+                assert got == want, (robot_id, action_id, task.id)

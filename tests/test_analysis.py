@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 from itertools import product
@@ -56,6 +57,27 @@ class TestProfileValues:
         values = profile_values(game)
         for ids in product(*(range(s) for s in game.action_set_sizes())):
             assert values[ids] == global_value(game, JointPlan(ids))
+
+    def test_totals_just_below_the_int64_bound_stay_exact(self, games):
+        base = games["example_3.json"]
+        caps = (2**61, 2**61, 2**62 - 1)  # the largest sum the setup check allows
+        tasks = [
+            dataclasses.replace(
+                task, value=dataclasses.replace(task.value, max_value=cap)
+            )
+            for task, cap in zip(base.tasks, caps)
+        ]
+        game = GameInstance(base.grid, base.horizon, base.robot_stations, tasks)
+        values = profile_values(game)
+        naive = {ids: global_value(game, JointPlan(ids)) for ids in np.ndindex(3, 3)}
+        assert all(values[ids] == v for ids, v in naive.items())
+        assert brute_force_optimum(game)[0] == max(naive.values())
+        # gaps of 1 between totals near 2**62 still weigh exp(-1 / 0.2)
+        top = max(naive.values())
+        weights = [math.exp((naive[ids] - top) / 0.2) for ids in np.ndindex(3, 3)]
+        expected = np.array(weights) / sum(weights)
+        pi = lll_stationary_distribution(game, 0.2)
+        assert pi == pytest.approx(expected, abs=1e-12)
 
     def test_budget_guard(self, games):
         with pytest.raises(BudgetExceededError):

@@ -175,6 +175,13 @@ class TestPlan:
         assert code == 0
         assert "lll x2 runs, 4 rounds, seed 1, epsilon 0.2" in out
 
+    def test_negative_seed_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "plan", example("example_3.json"), "--seed", "-1"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: seed must be a non-negative integer\n"
+
     def test_no_algorithm_and_no_default(self, capsys, tmp_path):
         bare = tmp_path / "bare.json"
         obj = {
@@ -252,6 +259,23 @@ class TestAnalyze:
         )
         assert obj["stationary_optimal_mass"] > 0.999
         assert "scenario" in obj and "optimum" not in obj
+
+    def test_stationary_at_a_tiny_epsilon_is_finite(self, capsys, tmp_path):
+        path = tmp_path / "out.json"
+        code, out, _ = run_cli(
+            capsys,
+            "analyze",
+            example("example_3.json"),
+            "--stationary",
+            "--epsilon",
+            "1e-309",
+            "--json",
+            str(path),
+        )
+        assert code == 0
+        assert "at epsilon 1e-309: 1.000000" in out
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        assert obj["stationary_optimal_mass"] == 1.0
 
     @pytest.mark.parametrize("epsilon", ["0", "-0.2"])
     def test_stationary_rejects_a_non_positive_epsilon(self, capsys, epsilon):

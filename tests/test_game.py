@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
-from support import random_game, random_plan_walk
+from support import (
+    assert_contributions_are_counter_differences,
+    random_game,
+    random_plan_walk,
+)
 
 from taskgrid import (
     DomainError,
@@ -164,6 +168,11 @@ class TestConstructionValidation:
         game = games["example_1.json"]
         assert game.contributions_of(1, 0) == ((0, (1, 2, 3, 4)),)
         assert game.contributions_of(3, 0) == ((0, (2, 3)),)
+
+    def test_contributions_are_counter_differences(self, all_games):
+        rng = np.random.default_rng(5)
+        for game in all_games.values():
+            assert_contributions_are_counter_differences(game, rng)
 
 
 class TestProfileStateAgainstNaive:

@@ -58,6 +58,28 @@ class TestConfig:
         # epsilon is irrelevant to best response
         LearningConfig(algorithm="br", rounds=5, epsilon=0.0)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("rounds", True),
+            ("rounds", 2.5),
+            ("seed", 1.5),
+            ("seed", -1),
+            ("seed", None),
+            ("epsilon", "0.2"),
+            ("epsilon", float("nan")),
+        ],
+    )
+    def test_each_input_fails_naming_its_field(self, name, value):
+        with pytest.raises(ValidationError, match=f"^{name} must be"):
+            LearningConfig(**{"algorithm": "lll", "rounds": 5, name: value})
+
+    @pytest.mark.parametrize("n_runs", [0, True, 2.5])
+    def test_run_count_follows_the_same_rule(self, games, n_runs):
+        config = LearningConfig(algorithm="br", rounds=3)
+        with pytest.raises(ValidationError, match="^runs must be"):
+            run_batch(games["example_3.json"], config, n_runs)
+
     def test_dispatchers_enforce_their_algorithm(self, games):
         game = games["example_3.json"]
         with pytest.raises(ValidationError):
@@ -171,6 +193,20 @@ class TestLogLinear:
         probs = lll_distribution(game, JointPlan((0,)), 1, epsilon=0.001)
         assert np.all(np.isfinite(probs))
         assert probs[0] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("epsilon", [1e-300, 1e-309, 1e-310, 5e-324])
+    def test_tiny_epsilon_keeps_all_mass_on_the_best_actions(self, tie_game, epsilon):
+        probs = lll_distribution(tie_game, JointPlan((0,)), 1, epsilon)
+        assert probs.tolist() == [0.5, 0.5, 0.0]
+
+    def test_tiny_epsilon_runs(self, games):
+        config = LearningConfig(algorithm="lll", rounds=6, seed=3, epsilon=1e-310)
+        trace = run(games["example_3.json"], config)
+        assert len(trace.records) == 6
+
+    def test_infinite_epsilon_is_the_uniform_law(self, tie_game):
+        probs = lll_distribution(tie_game, JointPlan((0,)), 1, math.inf)
+        assert probs.tolist() == [1 / 3] * 3
 
     def test_high_noise_visits_every_profile(self, games):
         game = games["example_3.json"]

@@ -8,7 +8,11 @@ drawn seeds, keeping the suite deterministic.
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from support import random_game
+from support import (
+    assert_contributions_are_counter_differences,
+    random_game,
+    random_plan_walk,
+)
 
 from taskgrid import (
     ProfileState,
@@ -20,6 +24,7 @@ from taskgrid import (
     utility,
     verify_cover,
 )
+from taskgrid.game import EXTENDED
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -37,6 +42,41 @@ def test_fast_paths_match_the_naive_oracles(seed):
             for a in range(game.n_actions(robot_id))
         ]
     assert profile_values(game)[plan.action_ids] == global_value(game, plan)
+
+
+def _overlap_and_table_game(seed):
+    """A drawn game with an overlapping window (extended mode) and tables."""
+    rng = np.random.default_rng(seed)
+    game = random_game(
+        rng, max_robots=3, n_stations=2, profile_cap=400, overlap_and_tables=True
+    )
+    return rng, game
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=seeds)
+def test_kernel_and_switch_match_the_oracles_with_overlaps_and_tables(seed):
+    rng, game = _overlap_and_table_game(seed)
+    assume(game.mode == EXTENDED)
+    plan = game.random_plan(rng)
+    state = ProfileState(game, plan)
+    for robot_id, action_id in random_plan_walk(rng, game, 4):
+        assert state.utilities_over_actions(robot_id) == [
+            utility(game, plan.replace(robot_id - 1, a), robot_id)
+            for a in range(game.n_actions(robot_id))
+        ]
+        state.switch(robot_id, action_id)
+        plan = plan.replace(robot_id - 1, action_id)
+        assert state.plan() == plan
+        assert state.global_value() == global_value(game, plan)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=seeds)
+def test_contributions_are_counter_differences_with_overlaps(seed):
+    rng, game = _overlap_and_table_game(seed)
+    assume(game.mode == EXTENDED)
+    assert_contributions_are_counter_differences(game, rng)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -275,6 +275,38 @@ class TestDiagnostics:
         with pytest.raises(ValidationError, match="defaults.retries"):
             parse_object(obj)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("rounds", 2.0),
+            ("rounds", True),
+            ("rounds", 0),
+            ("runs", "3"),
+            ("runs", 0),
+            ("seed", -1),
+            ("seed", 1.5),
+            ("epsilon", "0.2"),
+            ("epsilon", 0),
+            ("algorithm", "greedy"),
+        ],
+    )
+    def test_defaults_follow_the_learning_input_rules(self, key, value):
+        obj = minimal_object()
+        obj["defaults"][key] = value
+        with pytest.raises(
+            ValidationError, match=rf"^scenario\.defaults\.{key} must be"
+        ):
+            parse_object(obj)
+
+    def test_max_value_sum_must_fit_int64(self):
+        obj = json.loads(fixture_path("example_3.json").read_text(encoding="utf-8"))
+        for task in obj["tasks"]:
+            task["value"]["max_value"] = 2**62
+        with pytest.raises(
+            ValidationError, match=r"^tasks: the max_value sum must be below 2\*\*63"
+        ):
+            parse_object(obj)
+
     def test_load_errors_carry_the_path(self, tmp_path):
         bad = tmp_path / "broken.json"
         bad.write_text('{"horizon": 1}', encoding="utf-8")
@@ -315,6 +347,17 @@ ONE_RULE_CASES = {
         {"tasks": (_task(arrival=1, value=ValueFunction.table(
             [((0, 0), 0)], 1)),)},
         r"tasks\[0\]\.value: .*no entry for counter \(1, 0\)",
+    ),
+    "table counter of the wrong length": (
+        {"tasks": (_task(arrival=1, value=ValueFunction.table(
+            [((1,), 5)], 5, default=0)),)},
+        r"tasks\[0\]\.value: table counter \(1,\) has 1 entries for a window "
+        "of 2 steps",
+    ),
+    "max_value sum past int64": (
+        {"tasks": (_task(value=ValueFunction.simple(2**62)),
+                   _task(id=2, location=(1, 2), value=ValueFunction.simple(2**62)))},
+        r"tasks: the max_value sum must be below 2\*\*63",
     ),
 }
 

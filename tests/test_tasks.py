@@ -102,9 +102,28 @@ class TestTable:
             lambda: ValueFunction.table([((0,), 0), ((1,), 1.5)], 2),
             lambda: ValueFunction.table([((0,), 0)], 2, default=1.0),
             lambda: ValueFunction.table([((0,), False)], 2),
+            lambda: ValueFunction.threshold_max(2, 1.5),
+            lambda: ValueFunction.threshold_sum(2, True),
+            lambda: ValueFunction("threshold_sum", 2, threshold=None),
+            lambda: ValueFunction.sequential_heavy_light(2, 1.5, 1),
+            lambda: ValueFunction.sequential_heavy_light(2, 1, False),
+            lambda: ValueFunction.sequential_heavy_light(2, "2", 1),
+            lambda: ValueFunction.table([((0.5,), 1)], 1, default=0),
+            lambda: ValueFunction.table([(("1",), 1)], 1, default=0),
+            lambda: ValueFunction.table([((True,), 1)], 1, default=0),
         ):
             with pytest.raises(ValidationError, match="integer"):
                 make()
+
+    def test_list_counters_become_tuples(self):
+        vf = ValueFunction("table", 1, entries=(([0], 1),), default=0)
+        assert vf.entries == (((0,), 1),)
+        assert vf.evaluate((0,)) == 1
+
+    @pytest.mark.parametrize("entries", [((1,),), (((0,), 1, 2),), ((5, 1),)])
+    def test_entries_must_be_counter_value_pairs(self, entries):
+        with pytest.raises(ValidationError, match="table entries"):
+            ValueFunction("table", 1, entries=entries, default=0)
 
 
 class TestEvaluationDomain:
