@@ -13,6 +13,16 @@ Module-level operations (``counters``, ``global_value``, ``utility``) are
 deliberately naive recomputations used as oracles; ``ProfileState`` is the
 incremental engine for learning and enumeration inner loops and is tested
 against them.
+
+The engine reads task values through one memo per task of the game, a dict
+from counter tuple to value, filled on first use by
+``ValueFunction.evaluate``; the oracles call ``evaluate`` directly and never
+read it. Its utility kernel splits each station's action contributions into
+distinct ``(task, offsets)`` pieces: a call prices each piece once, as the
+value gain of adding those offsets to the counters without the robot, and
+sums the gains of every action with one product by a 0/1 action-by-piece
+incidence matrix. Gains are non-negative (values are monotone) and the
+``max_value`` sum is below 2**63, so the int64 product is exact.
 """
 
 import numbers
@@ -72,6 +82,15 @@ def _check_setup(grid, horizon, robot_stations, tasks):
         where = f"tasks[{i}]"
         if not (_is_integer(task.id) or isinstance(task.id, str)):
             raise ValidationError(f"{where}.id: must be an integer or a string")
+        location = task.location
+        if not (
+            isinstance(location, tuple)
+            and len(location) == 2
+            and all(map(_is_integer, location))
+        ):
+            raise ValidationError(f"{where}.location: expected an (x, y) integer pair")
+        if not isinstance(task.value, tasks_mod.ValueFunction):
+            raise ValidationError(f"{where}.value: expected a ValueFunction")
         if task.departure > horizon:
             raise ValidationError(
                 f"{where}: departure {task.departure} exceeds the horizon {horizon}"
@@ -155,6 +174,10 @@ class GameInstance:
         self.mode = mode
 
         self._task_index = {task.id: i for i, task in enumerate(self.tasks)}
+        # per task: counter tuple -> value, filled by ProfileState on first use
+        self._memo = tuple({} for _ in self.tasks)
+        # per station: (pieces, incidence), built on its first kernel call
+        self._pieces = {}
         index = actions_mod._service_index(horizon, self.tasks)
         # action sets depend only on the station, so co-stationed robots share
         self.station_action_sets = {}
@@ -223,6 +246,34 @@ class GameInstance:
         """Tuple of (task index, window-offset tuple) pairs for one action."""
         number = self.robot_stations[self.robot_index(robot_id)]
         return self._station_contribs[number][action_id]
+
+    def _value(self, j, row):
+        """Value of task ``j`` at counter ``row``, through the task's memo."""
+        key = tuple(row)
+        memo = self._memo[j]
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = self.tasks[j].value.evaluate(key)
+        return value
+
+    def _station_pieces(self, number):
+        """Distinct ``(task index, offsets)`` pieces of a station's actions.
+
+        Returns the pieces and the int64 0/1 incidence matrix whose entry
+        ``[a, p]`` says whether action ``a`` contributes piece ``p``.
+        """
+        cached = self._pieces.get(number)
+        if cached is None:
+            contribs = self._station_contribs[number]
+            index = {}
+            for contrib in contribs:
+                for piece in contrib:
+                    index.setdefault(piece, len(index))
+            incidence = np.zeros((len(contribs), len(index)), dtype=np.int64)
+            for a, contrib in enumerate(contribs):
+                incidence[a, [index[piece] for piece in contrib]] = 1
+            cached = self._pieces[number] = (tuple(index), incidence)
+        return cached
 
     def _contributions(self, stays):
         """Counter entries that ``(t, task index or None)`` stays increment, by task."""
@@ -376,8 +427,12 @@ class ProfileState:
 
     Supports the two operations the learning loops need: evaluate the
     utilities of every action of one robot against the fixed rest of the
-    plan, and switch one robot's action. All arithmetic is on Python ints,
-    so equalities are exact.
+    plan, and switch one robot's action. Values are read through the game's
+    per-task memo, so each distinct counter of a task is evaluated once per
+    game. The kernel prices each piece of the robot's station once against
+    the counters without the robot and sums the gains of every action with
+    the station's incidence matrix. Values are Python ints and the int64
+    sums cannot wrap, so equalities are exact.
     """
 
     def __init__(self, game, plan):
@@ -386,14 +441,8 @@ class ProfileState:
         self.action_ids = list(plan.action_ids)
         self.counters = [[0] * task.window_length for task in game.tasks]
         for robot_id, action_id in zip(game.robot_ids, self.action_ids):
-            for j, offsets in game.contributions_of(robot_id, action_id):
-                row = self.counters[j]
-                for o in offsets:
-                    row[o] += 1
-        self.values = [
-            task.value.evaluate(row)
-            for task, row in zip(game.tasks, self.counters)
-        ]
+            self._apply(game.contributions_of(robot_id, action_id), +1)
+        self.values = [game._value(j, row) for j, row in enumerate(self.counters)]
         self.total = sum(self.values)
 
     def plan(self):
@@ -411,28 +460,24 @@ class ProfileState:
     def utilities_over_actions(self, robot_id):
         """Utility of every action of ``robot_id`` given the others' actions."""
         game = self.game
-        current = self.action_ids[game.robot_index(robot_id)]
-        cur_contribs = game.contributions_of(robot_id, current)
+        idx = game.robot_index(robot_id)
+        cur_contribs = game.contributions_of(robot_id, self.action_ids[idx])
         self._apply(cur_contribs, -1)  # counters now exclude this robot
         # only the tasks the current action serves lost counts
         base = list(self.values)
         for j, _ in cur_contribs:
-            base[j] = game.tasks[j].value.evaluate(self.counters[j])
-
-        utilities = []
-        for action_id in range(game.n_actions(robot_id)):
-            contribs = game.contributions_of(robot_id, action_id)
-            u = 0
-            for j, offsets in contribs:
-                row = self.counters[j]
-                for o in offsets:
-                    row[o] += 1
-                u += game.tasks[j].value.evaluate(row) - base[j]
-                for o in offsets:
-                    row[o] -= 1
-            utilities.append(u)
+            base[j] = game._value(j, self.counters[j])
+        pieces, incidence = game._station_pieces(game.robot_stations[idx])
+        gains = []
+        for j, offsets in pieces:
+            row = self.counters[j]
+            for o in offsets:
+                row[o] += 1
+            gains.append(game._value(j, row) - base[j])
+            for o in offsets:
+                row[o] -= 1
         self._apply(cur_contribs, +1)
-        return utilities
+        return (incidence @ np.array(gains, dtype=np.int64)).tolist()
 
     def switch(self, robot_id, action_id):
         """Set one robot's action, updating counters and total incrementally."""
@@ -448,7 +493,7 @@ class ProfileState:
         self._apply(old_contribs, -1)
         self._apply(new_contribs, +1)
         for j in touched:
-            v = game.tasks[j].value.evaluate(self.counters[j])
+            v = game._value(j, self.counters[j])
             self.total += v - self.values[j]
             self.values[j] = v
         self.action_ids[idx] = action_id

@@ -100,6 +100,12 @@ class ValueFunction:
                     raise ValidationError("default must be an integer")
                 if not 0 <= self.default <= self.max_value:
                     raise ValidationError("table default outside [0, max_value]")
+            # counter -> value, the first entry of a counter winning; not a
+            # field, so equality and hashing still see the entries alone
+            lookup = {}
+            for counter, value in entries:
+                lookup.setdefault(counter, value)
+            object.__setattr__(self, "_lookup", lookup)
 
     # -- constructors ----------------------------------------------------
 
@@ -156,11 +162,9 @@ class ValueFunction:
                 if e >= self.heavy and sum(c[i + 1 :]) >= self.follow:
                     return self.max_value
             return 0
-        for entry, value in self.entries:
-            if entry == c:
-                return value
-        if self.default is not None:
-            return self.default
+        value = self._lookup.get(c, self.default)
+        if value is not None:
+            return value
         raise DomainError(f"table variant has no entry for counter {c} and no default")
 
 
@@ -180,7 +184,10 @@ class Task:
     value: ValueFunction
 
     def __post_init__(self):
-        object.__setattr__(self, "location", tuple(self.location))
+        try:
+            object.__setattr__(self, "location", tuple(self.location))
+        except TypeError:
+            pass  # game._check_setup rejects it, naming the task's index
         if not (_is_int(self.arrival) and _is_int(self.departure)):
             raise ValidationError(f"task {self.id}: window bounds must be integers")
         if self.arrival < 0:
@@ -270,11 +277,11 @@ def _table_is_monotone(spec, window_len, robot_cap):
     ``game._check_setup`` checks first.
     """
     span = range(robot_cap + 1)
-    table = {}
-    for counter, value in spec.entries:
-        # evaluate returns the first entry equal to the counter
-        if all(e in span for e in counter):
-            table.setdefault(counter, value)
+    table = {
+        counter: value
+        for counter, value in spec._lookup.items()
+        if all(e in span for e in counter)
+    }
     default = spec.default
     if default is None and len(table) < len(span) ** window_len:
 

@@ -136,6 +136,26 @@ class TestConstructionValidation:
         ):
             GameInstance(grid, 3, [1], tasks)
 
+    @pytest.mark.parametrize(
+        "location", ["ab", 5, (1, 1, 1), (1.5, 1), (True, 1)]
+    )
+    def test_location_must_be_an_integer_pair(self, location):
+        grid = Grid(3, 3, stations=[(2, 2)])
+        tasks = [Task(1, location, 0, 2, ValueFunction.simple(1))]
+        with pytest.raises(
+            ValidationError, match=r"tasks\[0\]\.location: expected an \(x, y\) integer"
+        ):
+            GameInstance(grid, 2, [1], tasks)
+
+    def test_value_must_be_a_value_function(self):
+        grid = Grid(3, 3, stations=[(2, 2)])
+        vf = ValueFunction.simple(1)
+        tasks = [Task(1, (1, 1), 0, 2, vf), Task(2, (1, 2), 0, 2, 5)]
+        with pytest.raises(
+            ValidationError, match=r"tasks\[1\]\.value: expected a ValueFunction"
+        ):
+            GameInstance(grid, 2, [1], tasks)
+
     def test_unknown_mode_and_bad_station(self):
         grid = Grid(3, 3, stations=[(2, 2)])
         with pytest.raises(ValidationError):
@@ -235,6 +255,45 @@ class TestProfileStateAgainstNaive:
         fresh = ProfileState(game, JointPlan((0, 1)))
         assert state.counters == fresh.counters
         assert state.total == fresh.total
+
+
+class TestKernelExactness:
+    def _game(self):
+        # the max_value sum is 2**63 - 1, the largest the int64 kernel holds;
+        # the robot serves the first task and then the second or the third
+        grid = Grid(3, 1, stations=[(2, 1)])
+        tasks = [
+            Task(1, (1, 1), 1, 2, ValueFunction.simple(2**62)),
+            Task(2, (3, 1), 4, 5, ValueFunction.simple(2**62 - 2)),
+            Task(3, (1, 1), 4, 5, ValueFunction.simple(1)),
+        ]
+        return GameInstance(grid, 6, [1], tasks)
+
+    def test_no_int64_wrap_at_the_max_value_bound(self):
+        game = self._game()
+        assert game.n_actions(1) == 2
+        state = ProfileState(game, JointPlan((0,)))
+        for action_id in (1, 0, 1):
+            plan = state.plan()
+            fast = state.utilities_over_actions(1)
+            assert fast == [utility(game, JointPlan((a,)), 1) for a in (0, 1)]
+            assert sorted(fast) == [2**62 + 1, 2**63 - 2]
+            assert state.global_value() == global_value(game, plan)
+            state.switch(1, action_id)
+            assert state.global_value() == global_value(game, state.plan())
+
+    def test_oracles_do_not_read_the_value_memo(self):
+        game = self._game()
+        plan = JointPlan((0,))
+        state = ProfileState(game, plan)
+        state.utilities_over_actions(1)
+        truth = global_value(game, plan), utility(game, plan, 1)
+        for memo in game._memo:
+            for key in memo:
+                memo[key] += 1
+        assert (global_value(game, plan), utility(game, plan, 1)) == truth
+        # the engine does read it
+        assert ProfileState(game, plan).global_value() == truth[0] + len(game.tasks)
 
 
 class TestLocality:

@@ -115,6 +115,14 @@ class TestTable:
             with pytest.raises(ValidationError, match="integer"):
                 make()
 
+    def test_first_entry_of_a_duplicate_counter_wins(self):
+        vf = ValueFunction("table", 5, entries=(((1,), 2), ((0,), 0), ((1,), 3)))
+        assert vf._lookup == {(1,): 2, (0,): 0}
+        assert vf.evaluate((1,)) == 2
+        # the lookup is not a field: equality and hashing see the entries
+        again = ValueFunction("table", 5, entries=(((1,), 2), ((0,), 0), ((1,), 3)))
+        assert vf == again and hash(vf) == hash(again)
+
     def test_list_counters_become_tuples(self):
         vf = ValueFunction("table", 1, entries=(([0], 1),), default=0)
         assert vf.entries == (((0,), 1),)
