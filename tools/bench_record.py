@@ -2,8 +2,8 @@
 
 Usage, from the root of a git checkout:
 
-    python3 tools/bench_record.py --parent 4f06643 --out BENCH_12.json \\
-        --runs plan_cs2:1-10 --runs analyze_3robot:1-5 --runs build_mix:1-5 \\
+    python3 tools/bench_record.py --parent <parent ref> --out BENCH_<n>.json \\
+        --runs plan_cs2:1-10 --runs analyze_3robot:1-5 --runs build_mix:1-10 \\
         --traced plan_cs2:1 --traced analyze_3robot:1
 
 Each side is the committed tree of a git ref (``--change`` defaults to HEAD),
@@ -171,14 +171,12 @@ def main(argv=None):
             "seeds": seeds, "runs": [], "summary": {}, "exact_counters_per_pass": {}}
         for k, seed in enumerate(seeds):
             order = SIDES if k % 2 == 0 else SIDES[::-1]
-            run = {"seed": seed, "first": order[0]}
-            counters = {}
+            rows, counters = {}, {}
             for side in order:
-                run[side], counters[side], _ = run_side(trees[side], workload, seed, seconds, 0)
-                print(f"{workload} seed {seed} {side}: op_ms.p50 {run[side]['op_ms.p50']}",
+                rows[side], counters[side], _ = run_side(trees[side], workload, seed, seconds, 0)
+                print(f"{workload} seed {seed} {side}: op_ms.p50 {rows[side]['op_ms.p50']}",
                       flush=True)
-            entry["runs"].append({"seed": seed, "first": run["first"],
-                                  "parent": run["parent"], "change": run["change"]})
+            entry["runs"].append({"seed": seed, "first": order[0], **{s: rows[s] for s in SIDES}})
             entry["exact_counters_per_pass"][f"seed{seed}"] = counters
             entry["summary"] = summarize(entry["runs"], spec["end_to_end"])
             save()
