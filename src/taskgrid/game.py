@@ -14,10 +14,10 @@ deliberately naive recomputations used as oracles; ``ProfileState`` is the
 incremental engine for learning and enumeration inner loops and is tested
 against them.
 
-The engine reads task values through one memo per task of the game, a dict
-from counter tuple to value, filled on first use by
-``ValueFunction.evaluate``; the oracles call ``evaluate`` directly and never
-read it. Its utility kernel splits each station's action contributions into
+The engine reads task values through one memo per task of the profile
+state, a dict from counter tuple to value, filled on first use by
+``ValueFunction.evaluate`` and dropped with the state; the oracles call
+``evaluate`` directly and never read it. Its utility kernel splits each station's action contributions into
 distinct ``(task, offsets)`` pieces: a call prices each piece once, as the
 value gain of adding those offsets to the counters without the robot, and
 sums the gains of every action with one product by a 0/1 action-by-piece
@@ -174,8 +174,6 @@ class GameInstance:
         self.mode = mode
 
         self._task_index = {task.id: i for i, task in enumerate(self.tasks)}
-        # per task: counter tuple -> value, filled by ProfileState on first use
-        self._memo = tuple({} for _ in self.tasks)
         # per station: (pieces, incidence), built on its first kernel call
         self._pieces = {}
         index = actions_mod._service_index(horizon, self.tasks)
@@ -246,15 +244,6 @@ class GameInstance:
         """Tuple of (task index, window-offset tuple) pairs for one action."""
         number = self.robot_stations[self.robot_index(robot_id)]
         return self._station_contribs[number][action_id]
-
-    def _value(self, j, row):
-        """Value of task ``j`` at counter ``row``, through the task's memo."""
-        key = tuple(row)
-        memo = self._memo[j]
-        value = memo.get(key)
-        if value is None:
-            value = memo[key] = self.tasks[j].value.evaluate(key)
-        return value
 
     def _station_pieces(self, number):
         """Distinct ``(task index, offsets)`` pieces of a station's actions.
@@ -427,9 +416,9 @@ class ProfileState:
 
     Supports the two operations the learning loops need: evaluate the
     utilities of every action of one robot against the fixed rest of the
-    plan, and switch one robot's action. Values are read through the game's
+    plan, and switch one robot's action. Values are read through the state's
     per-task memo, so each distinct counter of a task is evaluated once per
-    game. The kernel prices each piece of the robot's station once against
+    state; the memo lives and dies with the state. The kernel prices each piece of the robot's station once against
     the counters without the robot and sums the gains of every action with
     the station's incidence matrix. Values are Python ints and the int64
     sums cannot wrap, so equalities are exact.
@@ -440,9 +429,11 @@ class ProfileState:
         self.game = game
         self.action_ids = list(plan.action_ids)
         self.counters = [[0] * task.window_length for task in game.tasks]
+        # per task: counter tuple -> value, filled on first use
+        self._memo = tuple({} for _ in game.tasks)
         for robot_id, action_id in zip(game.robot_ids, self.action_ids):
             self._apply(game.contributions_of(robot_id, action_id), +1)
-        self.values = [game._value(j, row) for j, row in enumerate(self.counters)]
+        self.values = [self._value(j, row) for j, row in enumerate(self.counters)]
         self.total = sum(self.values)
 
     def plan(self):
@@ -450,6 +441,15 @@ class ProfileState:
 
     def global_value(self):
         return self.total
+
+    def _value(self, j, row):
+        """Value of task ``j`` at counter ``row``, through the task's memo."""
+        key = tuple(row)
+        memo = self._memo[j]
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = self.game.tasks[j].value.evaluate(key)
+        return value
 
     def _apply(self, contribs, step):
         for j, offsets in contribs:
@@ -466,14 +466,14 @@ class ProfileState:
         # only the tasks the current action serves lost counts
         base = list(self.values)
         for j, _ in cur_contribs:
-            base[j] = game._value(j, self.counters[j])
+            base[j] = self._value(j, self.counters[j])
         pieces, incidence = game._station_pieces(game.robot_stations[idx])
         gains = []
         for j, offsets in pieces:
             row = self.counters[j]
             for o in offsets:
                 row[o] += 1
-            gains.append(game._value(j, row) - base[j])
+            gains.append(self._value(j, row) - base[j])
             for o in offsets:
                 row[o] -= 1
         self._apply(cur_contribs, +1)
@@ -493,7 +493,7 @@ class ProfileState:
         self._apply(old_contribs, -1)
         self._apply(new_contribs, +1)
         for j in touched:
-            v = game._value(j, self.counters[j])
+            v = self._value(j, self.counters[j])
             self.total += v - self.values[j]
             self.values[j] = v
         self.action_ids[idx] = action_id

@@ -187,7 +187,9 @@ class Task:
         try:
             object.__setattr__(self, "location", tuple(self.location))
         except TypeError:
-            pass  # game._check_setup rejects it, naming the task's index
+            raise ValidationError(
+                f"task {self.id}: location must be an (x, y) integer pair"
+            ) from None
         if not (_is_int(self.arrival) and _is_int(self.departure)):
             raise ValidationError(f"task {self.id}: window bounds must be integers")
         if self.arrival < 0:

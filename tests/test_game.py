@@ -137,7 +137,7 @@ class TestConstructionValidation:
             GameInstance(grid, 3, [1], tasks)
 
     @pytest.mark.parametrize(
-        "location", ["ab", 5, (1, 1, 1), (1.5, 1), (True, 1)]
+        "location", ["ab", (1, 1, 1), (1.5, 1), (True, 1)]
     )
     def test_location_must_be_an_integer_pair(self, location):
         grid = Grid(3, 3, stations=[(2, 2)])
@@ -288,12 +288,22 @@ class TestKernelExactness:
         state = ProfileState(game, plan)
         state.utilities_over_actions(1)
         truth = global_value(game, plan), utility(game, plan, 1)
-        for memo in game._memo:
+        for memo in state._memo:
             for key in memo:
                 memo[key] += 1
         assert (global_value(game, plan), utility(game, plan, 1)) == truth
-        # the engine does read it
-        assert ProfileState(game, plan).global_value() == truth[0] + len(game.tasks)
+        # the engine does read it: switching away and back re-reads each value
+        state.switch(1, 1)
+        state.switch(1, 0)
+        assert state.global_value() == truth[0] + len(game.tasks)
+
+    def test_each_state_starts_with_an_empty_value_memo(self):
+        game = self._game()
+        plan = JointPlan((0,))
+        first = ProfileState(game, plan)
+        first.utilities_over_actions(1)
+        assert all(first._memo)
+        assert ProfileState(game, plan)._memo is not first._memo
 
 
 class TestLocality:

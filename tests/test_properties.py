@@ -74,20 +74,19 @@ def test_kernel_and_switch_match_the_oracles_with_overlaps_and_tables(seed):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(seed=seeds)
 def test_kernel_matches_the_oracle_on_a_warm_value_memo(seed):
-    # the game's value memo persists across states, so the second state
-    # starts on values filled at the first state's plans
+    # the state's value memo persists across its switches, so each check
+    # after the first reads values filled at earlier plans of the walk
     rng, game = _overlap_and_table_game(seed)
-    for _ in range(2):
-        state = ProfileState(game, game.random_plan(rng))
-        for robot_id, action_id in random_plan_walk(rng, game, 6):
-            state.switch(robot_id, action_id)
-            plan = state.plan()
-            assert state.global_value() == global_value(game, plan)
-            for r in game.robot_ids:
-                assert state.utilities_over_actions(r) == [
-                    utility(game, plan.replace(r - 1, a), r)
-                    for a in range(game.n_actions(r))
-                ]
+    state = ProfileState(game, game.random_plan(rng))
+    for robot_id, action_id in random_plan_walk(rng, game, 12):
+        state.switch(robot_id, action_id)
+        plan = state.plan()
+        assert state.global_value() == global_value(game, plan)
+        for r in game.robot_ids:
+            assert state.utilities_over_actions(r) == [
+                utility(game, plan.replace(r - 1, a), r)
+                for a in range(game.n_actions(r))
+            ]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -172,6 +172,10 @@ class TestTask:
         with pytest.raises(ValidationError):
             Task(1, (1, 1), 0, 2.0, vf)
 
+    def test_a_location_that_is_not_iterable_is_rejected(self):
+        with pytest.raises(ValidationError, match=r"task 1: location must be an \(x, y\)"):
+            Task(1, 5, 0, 2, ValueFunction.simple(1))
+
     def test_bool_window_bounds_are_rejected(self):
         vf = ValueFunction.simple(1)
         for arrival, departure in ((False, True), (0, True), (False, 2)):

@@ -7,10 +7,12 @@ Usage, from the root of a git checkout:
         --traced plan_cs2:1 --traced analyze_3robot:1
 
 Each side is the committed tree of a git ref (``--change`` defaults to HEAD),
-exported with ``git archive`` into its own directory, so both sides run the
-benchmark code of their own commit from a clean tree. For every workload and
-seed the two sides run ``perfbench/run.py --trace 0`` one after the other,
-one process at a time; the side that runs first alternates from seed to seed.
+exported with ``git archive`` into a temporary directory that is removed at
+the end, so both sides run the benchmark code of their own commit from a
+clean tree. Every run lasts ``run_seconds`` of BENCHMARK.json. For every
+workload and seed the two sides run ``perfbench/run.py --trace 0`` one after
+the other, one process at a time; the side that runs first alternates from
+pair to pair over the whole recording.
 The file keeps every run's end-to-end metrics and output digest, the exact
 work counters per pass of each run, and per metric each side's quartiles,
 the ratio of the medians and how many pairs the change won (ties win for
@@ -140,16 +142,17 @@ def main(argv=None):
                         metavar="WORKLOAD:SEEDS", help="paired --trace 0 runs, e.g. plan_cs2:1-10")
     parser.add_argument("--traced", action="append", type=workload_seeds, default=[],
                         metavar="WORKLOAD:SEEDS", help="one --trace 1 run per side and seed")
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="run length; default: run_seconds of BENCHMARK.json")
-    parser.add_argument("--work", type=Path, default=None,
-                        help="directory for the exported trees (default: a temporary one)")
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = args.seconds or spec["run_seconds"]
-    work = args.work or Path(tempfile.mkdtemp(prefix="bench_record-"))
-    trees = {side: work / side for side in SIDES}
+    with tempfile.TemporaryDirectory(prefix="bench_record-") as work:
+        record(args, spec, {side: Path(work) / side for side in SIDES})
+    print(f"wrote {args.out}")
+    return 0
+
+
+def record(args, spec, trees):
+    seconds = spec["run_seconds"]
     commits = {side: export(ref, trees[side])
                for side, ref in zip(SIDES, (args.parent, args.change))}
     doc = {
@@ -166,11 +169,13 @@ def main(argv=None):
     def save():
         args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
 
+    pairs = 0
     for workload, seeds in args.runs:
         entry = doc["workloads"][workload] = {
             "seeds": seeds, "runs": [], "summary": {}, "exact_counters_per_pass": {}}
-        for k, seed in enumerate(seeds):
-            order = SIDES if k % 2 == 0 else SIDES[::-1]
+        for seed in seeds:
+            order = SIDES if pairs % 2 == 0 else SIDES[::-1]
+            pairs += 1
             rows, counters = {}, {}
             for side in order:
                 rows[side], counters[side], _ = run_side(trees[side], workload, seed, seconds, 0)
@@ -191,8 +196,6 @@ def main(argv=None):
                 print(f"{workload} seed {seed} {side} traced", flush=True)
             doc[f"traced_{workload}_seed{seed}"] = traced
             save()
-    print(f"wrote {args.out}; exported trees in {work}")
-    return 0
 
 
 if __name__ == "__main__":
