@@ -300,10 +300,9 @@ class TestKernelExactness:
     def test_each_state_starts_with_an_empty_value_memo(self):
         game = self._game()
         plan = JointPlan((0,))
-        first = ProfileState(game, plan)
-        first.utilities_over_actions(1)
-        assert all(first._memo)
-        assert ProfileState(game, plan)._memo is not first._memo
+        ProfileState(game, plan).utilities_over_actions(1)
+        # a fresh state holds only the values of its own plan's counters
+        assert [len(memo) for memo in ProfileState(game, plan)._memo] == [1, 1, 1]
 
 
 class TestLocality:
