@@ -15,20 +15,17 @@ enumerates the achievable signatures, pruning states that cannot return to
 the station in the remaining time and, per (time, cell) group, signatures
 dominated by a superset (any completion of the dominated signature is also a
 completion of the dominating one). Signatures are bitmasks over the slots,
-and the slots are sorted by ``(t, cell)``, so bit order is time order. For
-each maximal signature the lexicographically smallest realizing trajectory
-follows memoized first moves that can still finish. One memo per station,
-keyed by ``(t, cell, remaining)``, serves every signature: a state whose
-``remaining`` still holds a bit of a slot before ``t`` is dead and is cut
-with one mask test, and in every live state ``remaining`` is just the
-signature's slots from ``t`` on.
+and the slots are sorted by ``(t, cell)``, so bit order is time order. Each
+maximal signature is then realized by its lexicographically smallest
+trajectory. Any trajectory that makes all of a maximal signature's stays has
+exactly that signature, so a greedy walk finds it: each step takes the first
+neighbor from which the next required position is still within reach.
 
 For task sets where one location hosts overlapping windows, a trajectory no
 longer determines which task a stay serves; extended actions append a
 per-step commitment sequence naming the served task.
 """
 
-from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import product
@@ -187,70 +184,41 @@ def achievable_signatures(grid, station, horizon, tasks, budget=DEFAULT_SIGNATUR
     return final, slots
 
 
-def _lex_smallest_realizing(grid, station, horizon, slots, masks):
-    """The smallest trajectory with each signature in ``masks``, in order.
+def _lex_smallest_realizing(grid, station, horizon, signatures):
+    """The smallest trajectory with each signature in ``signatures``, in order.
 
-    Smallest is lexicographic over the cell sequence. A memo shared by every
-    mask maps each ``(t, cell, remaining)`` state to its first move, in
-    neighbor order, that can still collect the remaining required stays and
-    reach the station: ``(next cell, remaining after the move)``, or None
-    when no move can. A stay at an active slot is taken only if its bit is
-    in ``remaining``, so it collects that bit; any other stay at an active
-    slot would enlarge the signature. Slots are sorted by ``(t, cell)``, so
-    a state whose ``remaining`` still holds a bit of a slot before ``t`` can
-    never collect it and is dead at once. In a live state ``remaining`` is
-    exactly the mask's slots at time ``t`` and later, which is why the memo
-    depends on no mask.
+    Smallest is lexicographic over the cell sequence. Each signature is a
+    sorted tuple of ``(t, cell)`` stays and must be maximal. Then any
+    trajectory that makes all of its stays has exactly that signature: one
+    more stay at an active slot would give an achievable superset, which
+    maximality rules out. So the smallest realizer is a greedy walk that
+    passes through the required positions, both ends ``(t, cell)`` and
+    ``(t + 1, cell)`` of each stay in time order and then
+    ``(horizon, station)``: each step takes the first neighbor from which
+    the next required position is still within reach.
     """
-    dist = grid.distances_from(station)
-    bit_of = {slot: i for i, slot in enumerate(slots)}
-    # before[t]: the bits of the slots earlier than t, a prefix of the order
-    before = [(1 << bisect_left(slots, (t,))) - 1 for t in range(horizon + 1)]
-    memo = {}
-    missing = object()
-
-    def first_move(t, cell, remaining):
-        if t == horizon:
-            # the empty move marks a finished trajectory
-            return () if cell == station and remaining == 0 else None
-        if remaining & before[t]:
-            return None
-        key = (t, cell, remaining)
-        move = memo.get(key, missing)
-        if move is not missing:
-            return move
-        move = None
-        d = dist.get(cell)
-        if d is not None and d <= horizon - t:
-            b = bit_of.get((t, cell))
-            for nb in grid.neighbors(cell):
-                rest = remaining
-                if nb == cell and b is not None:
-                    if not remaining >> b & 1:
-                        continue
-                    rest = remaining & ~(1 << b)
-                if first_move(t + 1, nb, rest) is not None:
-                    move = (nb, rest)
-                    break
-        memo[key] = move
-        return move
-
+    targets = {station}.union(*((cell for _, cell in sig) for sig in signatures))
+    dist_to = {cell: grid.distances_from(cell) for cell in targets}
     trajectories = []
-    for mask in masks:
+    for sig in signatures:
+        required = [(when, cell) for t, cell in sig for when in (t, t + 1)]
+        required.append((horizon, station))
         positions = [station]
-        remaining = mask
+        k = 0
         for t in range(horizon):
-            move = first_move(t, positions[-1], remaining)
-            if move is None:
+            while required[k][0] <= t:
+                k += 1
+            when, target = required[k]
+            dist = dist_to[target]
+            for nb in grid.neighbors(positions[-1]):
+                if dist.get(nb, horizon) < when - t:
+                    positions.append(nb)
+                    break
+            else:
                 raise DomainError(
-                    f"no trajectory realizes signature mask {mask:b} from {station}"
+                    f"no trajectory realizes signature {list(sig)} from {station}"
                 )
-            cell, remaining = move
-            positions.append(cell)
         trajectories.append(tuple(positions))
-    # first_move refers to itself; freeing it now frees the memo on return
-    # rather than at a later cycle collection
-    del first_move
     return tuple(trajectories)
 
 
@@ -274,11 +242,9 @@ def build_minimal_action_set(
     def decode(mask):
         return tuple(slot for i, slot in enumerate(slots) if mask >> i & 1)
 
-    ordered = sorted((decode(m), m) for m in masks)
-    trajectories = _lex_smallest_realizing(
-        grid, station, horizon, slots, [m for _, m in ordered]
-    )
-    signatures = tuple(frozenset(d) for d, _ in ordered)
+    ordered = sorted(map(decode, masks))
+    trajectories = _lex_smallest_realizing(grid, station, horizon, ordered)
+    signatures = tuple(map(frozenset, ordered))
     return ActionSet(station, horizon, trajectories, signatures)
 
 

@@ -48,27 +48,24 @@ def _resolve_budget(args, default):
     return default
 
 
-def _load_games(args):
-    """Yield (label, scenario) pairs for the given file, honoring --episode."""
-    loaded = scenario.load_any(args.scenario)
-    if isinstance(loaded, scenario.EpisodeSuite):
-        if getattr(args, "episode", None) is not None:
-            sc = loaded.get(args.episode)
-            name = next(n for n, s in loaded.episodes if s is sc)
-            yield f"{args.scenario}:{name}", sc
-        else:
-            for name, sc in loaded.episodes:
-                yield f"{args.scenario}:{name}", sc
-    else:
-        if getattr(args, "episode", None) is not None:
+def _load_games(path, episode=None):
+    """Yield (label, scenario) pairs for the file at ``path``, honoring ``episode``."""
+    loaded = scenario.load_any(path)
+    if not isinstance(loaded, scenario.EpisodeSuite):
+        if episode is not None:
             raise ValidationError(
-                f"{args.scenario} is not an episode-suite file; --episode is invalid"
+                f"{path} is not an episode-suite file; --episode is invalid"
             )
-        yield str(args.scenario), loaded
+        yield str(path), loaded
+        return
+    chosen = None if episode is None else loaded.get(episode)
+    for name, sc in loaded.episodes:
+        if chosen is None or sc is chosen:
+            yield f"{path}:{name}", sc
 
 
 def _single_game(args):
-    pairs = list(_load_games(args))
+    pairs = list(_load_games(args.scenario, args.episode))
     if len(pairs) > 1:
         raise ValidationError(
             f"{args.scenario} holds {len(pairs)} episodes; pick one with --episode"
@@ -78,12 +75,8 @@ def _single_game(args):
 
 def cmd_validate(args):
     for path in args.scenarios:
-        loaded = scenario.load_any(path)
-        if isinstance(loaded, scenario.EpisodeSuite):
-            for name, sc in loaded.episodes:
-                _print_summary(f"{path}:{name}", sc)
-        else:
-            _print_summary(str(path), loaded)
+        for label, sc in _load_games(path):
+            _print_summary(label, sc)
     return 0
 
 
@@ -99,7 +92,7 @@ def _print_summary(label, sc):
 
 
 def cmd_actions(args):
-    for label, sc in _load_games(args):
+    for label, sc in _load_games(args.scenario, args.episode):
         game = scenario.build_game(sc)
         sizes = game.action_set_sizes()
         print(f"{label} ({game.mode} mode)")

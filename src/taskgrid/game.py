@@ -25,7 +25,6 @@ incidence matrix. Gains are non-negative (values are monotone) and the
 ``max_value`` sum is below 2**63, so the int64 product is exact.
 """
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +32,7 @@ import numpy as np
 from . import actions as actions_mod
 from . import tasks as tasks_mod
 from .errors import DomainError, ValidationError
+from .grid import _is_cell, _is_integer
 
 PLAIN = "plain"
 EXTENDED = "extended"
@@ -51,10 +51,6 @@ class JointPlan:
         ids = list(self.action_ids)
         ids[index] = action_id
         return JointPlan(tuple(ids))
-
-
-def _is_integer(value):
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _check_setup(grid, horizon, robot_stations, tasks):
@@ -82,12 +78,7 @@ def _check_setup(grid, horizon, robot_stations, tasks):
         where = f"tasks[{i}]"
         if not (_is_integer(task.id) or isinstance(task.id, str)):
             raise ValidationError(f"{where}.id: must be an integer or a string")
-        location = task.location
-        if not (
-            isinstance(location, tuple)
-            and len(location) == 2
-            and all(map(_is_integer, location))
-        ):
+        if not _is_cell(task.location):
             raise ValidationError(f"{where}.location: expected an (x, y) integer pair")
         if not isinstance(task.value, tasks_mod.ValueFunction):
             raise ValidationError(f"{where}.value: expected a ValueFunction")
@@ -282,6 +273,10 @@ class GameInstance:
             self._check_action(robot_id, a)
 
     def _check_action(self, robot_id, action_id):
+        if not _is_integer(action_id):
+            raise DomainError(
+                f"robot {robot_id}: action id {action_id!r} is not an integer"
+            )
         n = self.n_actions(robot_id)
         if not 0 <= action_id < n:
             raise DomainError(
@@ -483,10 +478,10 @@ class ProfileState:
         """Set one robot's action, updating counters and total incrementally."""
         game = self.game
         idx = game.robot_index(robot_id)
+        game._check_action(robot_id, action_id)
         old = self.action_ids[idx]
         if action_id == old:
             return
-        game._check_action(robot_id, action_id)
         old_contribs = game.contributions_of(robot_id, old)
         new_contribs = game.contributions_of(robot_id, action_id)
         touched = {j for j, _ in old_contribs} | {j for j, _ in new_contribs}

@@ -8,12 +8,36 @@ current cell, which includes staying in place. A trajectory over a horizon
 robot's station and takes one such step per time index.
 """
 
+import numbers
 from collections import defaultdict, deque
 
 from .errors import BudgetExceededError, DomainError, ValidationError
 
 Cell = tuple  # (x, y), 1-based
 Trajectory = tuple  # of Cell, length horizon + 1
+
+
+def _is_integer(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_cell(value):
+    """The one cell rule: a list or tuple of two integers."""
+    return (
+        isinstance(value, (list, tuple))
+        and len(value) == 2
+        and all(map(_is_integer, value))
+    )
+
+
+def _checked_cells(cells, where):
+    """``cells`` as a tuple of tuples; a ValidationError names a bad ``where[i]``."""
+    out = []
+    for i, cell in enumerate(cells):
+        if not _is_cell(cell):
+            raise ValidationError(f"{where}[{i}]: expected an (x, y) integer pair")
+        out.append(tuple(cell))
+    return tuple(out)
 
 
 class Grid:
@@ -30,14 +54,15 @@ class Grid:
     """
 
     def __init__(self, width, height, obstacles=(), stations=()):
-        if not (isinstance(width, int) and isinstance(height, int)):
-            raise ValidationError("grid dimensions must be integers")
+        for name, value in (("width", width), ("height", height)):
+            if not _is_integer(value):
+                raise ValidationError(f"grid {name}: must be an integer")
         if width < 1 or height < 1:
             raise ValidationError("grid dimensions must be at least 1")
         self.width = width
         self.height = height
-        self.obstacles = frozenset(tuple(c) for c in obstacles)
-        self.stations = tuple(tuple(c) for c in stations)
+        self.obstacles = frozenset(_checked_cells(obstacles, "obstacles"))
+        self.stations = _checked_cells(stations, "stations")
         for c in self.obstacles:
             if not self.in_bounds(c):
                 raise ValidationError(f"obstacle {c} is out of bounds")

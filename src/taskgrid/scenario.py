@@ -47,7 +47,7 @@ from pathlib import Path
 
 from .errors import DomainError, ValidationError
 from .game import GameInstance, _check_setup
-from .grid import Grid
+from .grid import Grid, _is_cell
 from .learning import _INPUT_RULES, _check_input
 from .tasks import Task, ValueFunction
 
@@ -110,11 +110,7 @@ def _need(obj, key, kind, where):
 
 
 def _cell(value, where):
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(v, int) and not isinstance(v, bool) for v in value)
-    ):
+    if not _is_cell(value):
         raise ValidationError(f"{where}: expected a [x, y] integer pair")
     return tuple(value)
 
@@ -145,7 +141,7 @@ def _parse_value(obj, where):
             )
         if kind == "table":
             entries = _need(obj, "entries", list, where)
-            parsed = []
+            parsed = {}
             for i, pair in enumerate(entries):
                 if not (isinstance(pair, list) and len(pair) == 2):
                     raise ValidationError(
@@ -163,11 +159,15 @@ def _parse_value(obj, where):
                     raise ValidationError(
                         f"{where}.entries[{i}]: value must be an integer"
                     )
-                parsed.append((tuple(counter), val))
+                if tuple(counter) in parsed:
+                    raise ValidationError(
+                        f"{where}.entries[{i}]: duplicate counter {counter}"
+                    )
+                parsed[tuple(counter)] = val
             default = obj.get("default")
             if default is not None:
                 default = _need(obj, "default", int, where)
-            return ValueFunction.table(parsed, max_value, default=default)
+            return ValueFunction.table(parsed.items(), max_value, default=default)
     except ValidationError as exc:
         if str(exc).startswith(where):
             raise

@@ -17,6 +17,7 @@ from taskgrid import (
     ValueFunction,
     counters,
     global_value,
+    is_nash,
     local_robots,
     local_tasks,
     utility,
@@ -245,6 +246,23 @@ class TestProfileStateAgainstNaive:
                 state.switch(1, action_id)
         assert state.plan() == JointPlan((0, 0))
         assert state.global_value() == global_value(game, state.plan())
+
+    @pytest.mark.parametrize("action_id", [0.0, 1.0, "0"], ids=repr)
+    def test_an_action_id_that_is_not_an_integer_is_rejected(self, games, action_id):
+        game = games["example_3.json"]
+        message = rf"robot 1: action id {action_id!r} is not an integer"
+        plan = JointPlan((action_id, 0))
+        for call in (
+            lambda: global_value(game, plan),
+            lambda: ProfileState(game, plan),
+            lambda: is_nash(game, plan),
+        ):
+            with pytest.raises(DomainError, match=message):
+                call()
+        state = ProfileState(game, JointPlan((1, 0)))
+        with pytest.raises(DomainError, match=message):
+            state.switch(1, action_id)
+        assert state.plan() == JointPlan((1, 0))
 
     def test_repeated_evaluation_is_stable(self, games):
         game = games["example_3.json"]

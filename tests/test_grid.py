@@ -49,6 +49,28 @@ class TestGridConstruction:
         with pytest.raises(ValidationError, match="duplicated"):
             Grid(3, 3, stations=[(1, 1), (1, 1)])
 
+    def test_bool_dimension_rejected(self):
+        with pytest.raises(ValidationError, match=r"grid width: must be an integer"):
+            Grid(True, 3)
+        with pytest.raises(ValidationError, match=r"grid height: must be an integer"):
+            Grid(3, False)
+
+    @pytest.mark.parametrize(
+        "cell", [(1.5, 1), (1, 1, 1), "ab", (True, 1)], ids=repr
+    )
+    def test_station_that_is_not_an_integer_pair_rejected(self, cell):
+        with pytest.raises(ValidationError, match=r"stations\[1\]: expected an \(x, y\)"):
+            Grid(3, 3, stations=[(1, 1), cell])
+
+    def test_obstacle_that_is_not_an_integer_pair_rejected(self):
+        with pytest.raises(ValidationError, match=r"obstacles\[0\]: expected an \(x, y\)"):
+            Grid(3, 3, obstacles=[(2.5, 2)])
+
+    def test_list_cells_are_stored_as_tuples(self):
+        grid = Grid(3, 3, obstacles=[[2, 2]], stations=[[1, 1]])
+        assert grid.obstacles == {(2, 2)}
+        assert grid.stations == ((1, 1),)
+
     def test_equality_and_hash(self):
         a = Grid(3, 3, obstacles=[(2, 2)], stations=[(1, 1)])
         b = Grid(3, 3, obstacles=[(2, 2)], stations=[(1, 1)])

@@ -102,7 +102,12 @@ def test_contributions_are_counter_differences_with_overlaps(seed):
 def test_action_sets_match_the_enumerated_trajectories(seed):
     rng = np.random.default_rng(seed)
     game = random_game(
-        rng, max_tasks=5, max_horizon=6, n_stations=2, obstacle_rate=0.4
+        rng,
+        max_tasks=5,
+        max_horizon=6,
+        n_stations=2,
+        obstacle_rate=0.4,
+        overlap_and_tables=bool(seed % 2),
     )
     grid, horizon, tasks = game.grid, game.horizon, game.tasks
     assume(grid.obstacles)

@@ -247,6 +247,20 @@ class TestDiagnostics:
         with pytest.raises(ValidationError, match=r"entries\[0\]"):
             parse_object(obj)
 
+    def test_duplicate_table_counter_rejected(self):
+        obj = minimal_object()
+        obj["tasks"][0]["value"] = {
+            "kind": "table",
+            "max_value": 2,
+            "entries": [[[0, 0, 0], 0], [[0, 0, 0], 1]],
+            "default": 1,
+        }
+        with pytest.raises(
+            ValidationError,
+            match=r"tasks\[0\]\.value\.entries\[1\]: duplicate counter \[0, 0, 0\]",
+        ):
+            parse_object(obj)
+
     def test_non_monotone_table_rejected_at_parse(self):
         obj = minimal_object()
         obj["tasks"][0]["value"] = {
