@@ -171,8 +171,10 @@ def record(args, spec, trees):
 
     pairs = 0
     for workload, seeds in args.runs:
-        entry = doc["workloads"][workload] = {
-            "seeds": seeds, "runs": [], "summary": {}, "exact_counters_per_pass": {}}
+        # a workload named in several --runs keeps the runs of each
+        entry = doc["workloads"].setdefault(workload, {
+            "seeds": [], "runs": [], "summary": {}, "exact_counters_per_pass": {}})
+        entry["seeds"] += seeds
         for seed in seeds:
             order = SIDES if pairs % 2 == 0 else SIDES[::-1]
             pairs += 1
