@@ -197,7 +197,7 @@ def _lex_smallest_realizing(grid, station, horizon, signatures):
     ``(horizon, station)``: each step takes the first neighbor from which
     the next required position is still within reach.
     """
-    targets = {station}.union(*((cell for _, cell in sig) for sig in signatures))
+    targets = {station} | {cell for sig in signatures for _, cell in sig}
     dist_to = {cell: grid.distances_from(cell) for cell in targets}
     trajectories = []
     for sig in signatures:

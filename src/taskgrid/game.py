@@ -478,10 +478,10 @@ class ProfileState:
         """Set one robot's action, updating counters and total incrementally."""
         game = self.game
         idx = game.robot_index(robot_id)
-        game._check_action(robot_id, action_id)
         old = self.action_ids[idx]
         if action_id == old:
             return
+        game._check_action(robot_id, action_id)
         old_contribs = game.contributions_of(robot_id, old)
         new_contribs = game.contributions_of(robot_id, action_id)
         touched = {j for j, _ in old_contribs} | {j for j, _ in new_contribs}

@@ -259,10 +259,10 @@ class TestProfileStateAgainstNaive:
         ):
             with pytest.raises(DomainError, match=message):
                 call()
-        state = ProfileState(game, JointPlan((1, 0)))
+        state = ProfileState(game, JointPlan((2, 0)))
         with pytest.raises(DomainError, match=message):
             state.switch(1, action_id)
-        assert state.plan() == JointPlan((1, 0))
+        assert state.plan() == JointPlan((2, 0))
 
     def test_repeated_evaluation_is_stable(self, games):
         game = games["example_3.json"]
