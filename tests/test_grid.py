@@ -59,11 +59,13 @@ class TestGridConstruction:
         "cell", [(1.5, 1), (1, 1, 1), "ab", (True, 1)], ids=repr
     )
     def test_station_that_is_not_an_integer_pair_rejected(self, cell):
-        with pytest.raises(ValidationError, match=r"stations\[1\]: expected an \(x, y\)"):
+        message = r"stations\[1\]: expected an \(x, y\) integer pair"
+        with pytest.raises(ValidationError, match=message):
             Grid(3, 3, stations=[(1, 1), cell])
 
     def test_obstacle_that_is_not_an_integer_pair_rejected(self):
-        with pytest.raises(ValidationError, match=r"obstacles\[0\]: expected an \(x, y\)"):
+        message = r"obstacles\[0\]: expected an \(x, y\) integer pair"
+        with pytest.raises(ValidationError, match=message):
             Grid(3, 3, obstacles=[(2.5, 2)])
 
     def test_list_cells_are_stored_as_tuples(self):
