@@ -34,18 +34,20 @@ BUDGET_ENV = "TASKGRID_BUDGET"
 
 
 def _resolve_budget(args, default):
-    value = getattr(args, "budget", None)
-    if value is not None:
-        return value
-    env = os.environ.get(BUDGET_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValidationError(
-                f"{BUDGET_ENV} must be an integer, got {env!r}"
-            ) from None
-    return default
+    """``--budget``, else ``TASKGRID_BUDGET``, else ``default``: a positive integer."""
+    if args.budget is not None:
+        name, value = "--budget", args.budget
+    elif BUDGET_ENV in os.environ:
+        name, value = BUDGET_ENV, os.environ[BUDGET_ENV]
+    else:
+        return default
+    try:
+        budget = int(value)
+    except ValueError:
+        budget = None
+    if budget is None or budget < 1:
+        raise ValidationError(f"{name} must be a positive integer, got {value!r}")
+    return budget
 
 
 def _load_games(path, episode=None):
@@ -180,11 +182,11 @@ def cmd_plan(args):
 def cmd_analyze(args):
     if args.stationary:
         learning._check_epsilon(args.epsilon)
+    budget = _resolve_budget(args, analysis.DEFAULT_PROFILE_BUDGET)
     label, sc = _single_game(args)
     game = scenario.build_game(sc)
     wants_all = not (args.nash or args.optimum or args.poa or args.stationary)
     out = {"scenario": label}
-    budget = _resolve_budget(args, analysis.DEFAULT_PROFILE_BUDGET)
     if args.optimum or wants_all:
         value, witnesses = analysis.brute_force_optimum(game, budget=budget)
         out["optimum"] = value

@@ -32,7 +32,7 @@ import numpy as np
 from . import actions as actions_mod
 from . import tasks as tasks_mod
 from .errors import DomainError, ValidationError
-from .grid import _is_cell, _is_integer
+from .grid import _as_integer
 
 PLAIN = "plain"
 EXTENDED = "extended"
@@ -54,12 +54,13 @@ class JointPlan:
 
 
 def _check_setup(grid, horizon, robot_stations, tasks):
-    """Every rule on a game's inputs, each message naming the scenario field.
+    """The rules that tie a game's inputs together, each naming the scenario field.
 
-    Scenario files, episode suites and ``GameInstance`` all call this, so one
-    bad input fails with one ``ValidationError`` whichever way it arrives.
+    ``Grid``, ``Task`` and ``ValueFunction`` check their own fields. Scenario
+    files, episode suites and ``GameInstance`` all call this, so one bad
+    input fails with one ``ValidationError`` whichever way it arrives.
     """
-    if not _is_integer(horizon):
+    if _as_integer(horizon) is None:
         raise ValidationError("scenario.horizon: must be an integer")
     if horizon < 1:
         raise ValidationError("scenario.horizon: must be at least 1")
@@ -67,7 +68,7 @@ def _check_setup(grid, horizon, robot_stations, tasks):
         raise ValidationError("scenario.robots: at least one robot required")
     n_stations = len(grid.stations)
     for i, s in enumerate(robot_stations):
-        if not _is_integer(s):
+        if _as_integer(s) is None:
             raise ValidationError(f"robots[{i}]: expected a station number")
         if not 1 <= s <= n_stations:
             raise ValidationError(
@@ -76,10 +77,8 @@ def _check_setup(grid, horizon, robot_stations, tasks):
     cap = len(robot_stations)
     for i, task in enumerate(tasks):
         where = f"tasks[{i}]"
-        if not (_is_integer(task.id) or isinstance(task.id, str)):
+        if _as_integer(task.id) is None and not isinstance(task.id, str):
             raise ValidationError(f"{where}.id: must be an integer or a string")
-        if not _is_cell(task.location):
-            raise ValidationError(f"{where}.location: expected an (x, y) integer pair")
         if not isinstance(task.value, tasks_mod.ValueFunction):
             raise ValidationError(f"{where}.value: expected a ValueFunction")
         if task.departure > horizon:
@@ -147,8 +146,8 @@ class GameInstance:
         robot_stations, tasks = tuple(robot_stations), tuple(tasks)
         _check_setup(grid, horizon, robot_stations, tasks)
         self.grid = grid
-        self.horizon = horizon
-        self.robot_stations = tuple(int(s) for s in robot_stations)
+        self.horizon = _as_integer(horizon)
+        self.robot_stations = tuple(map(_as_integer, robot_stations))
         self.tasks = tasks
 
         overlaps = tasks_mod.check_no_overlap(self.tasks)
@@ -269,18 +268,19 @@ class GameInstance:
             raise DomainError(
                 f"plan has {len(ids)} actions for {self.n_robots} robots"
             )
-        for robot_id, a in zip(self.robot_ids, ids):
-            self._check_action(robot_id, a)
+        for idx, a in enumerate(ids):
+            self._check_action(idx, a)
 
-    def _check_action(self, robot_id, action_id):
-        if not _is_integer(action_id):
+    def _check_action(self, idx, action_id):
+        """Check an action id of the robot at index ``idx`` (id ``idx + 1``)."""
+        if _as_integer(action_id) is None:
             raise DomainError(
-                f"robot {robot_id}: action id {action_id!r} is not an integer"
+                f"robot {idx + 1}: action id {action_id!r} is not an integer"
             )
-        n = self.n_actions(robot_id)
+        n = len(self._station_actions[self.robot_stations[idx]])
         if not 0 <= action_id < n:
             raise DomainError(
-                f"robot {robot_id}: action id {action_id} outside 0..{n - 1}"
+                f"robot {idx + 1}: action id {action_id} outside 0..{n - 1}"
             )
 
     def random_plan(self, rng):
@@ -426,8 +426,8 @@ class ProfileState:
         self.counters = [[0] * task.window_length for task in game.tasks]
         # per task: counter tuple -> value, filled on first use
         self._memo = tuple({} for _ in game.tasks)
-        for robot_id, action_id in zip(game.robot_ids, self.action_ids):
-            self._apply(game.contributions_of(robot_id, action_id), +1)
+        for number, action_id in zip(game.robot_stations, self.action_ids):
+            self._apply(game._station_contribs[number][action_id], +1)
         self.values = [self._value(j, row) for j, row in enumerate(self.counters)]
         self.total = sum(self.values)
 
@@ -456,13 +456,14 @@ class ProfileState:
         """Utility of every action of ``robot_id`` given the others' actions."""
         game = self.game
         idx = game.robot_index(robot_id)
-        cur_contribs = game.contributions_of(robot_id, self.action_ids[idx])
+        number = game.robot_stations[idx]
+        cur_contribs = game._station_contribs[number][self.action_ids[idx]]
         self._apply(cur_contribs, -1)  # counters now exclude this robot
         # only the tasks the current action serves lost counts
         base = list(self.values)
         for j, _ in cur_contribs:
             base[j] = self._value(j, self.counters[j])
-        pieces, incidence = game._station_pieces(game.robot_stations[idx])
+        pieces, incidence = game._station_pieces(number)
         gains = []
         for j, offsets in pieces:
             row = self.counters[j]
@@ -481,9 +482,9 @@ class ProfileState:
         old = self.action_ids[idx]
         if action_id == old:
             return
-        game._check_action(robot_id, action_id)
-        old_contribs = game.contributions_of(robot_id, old)
-        new_contribs = game.contributions_of(robot_id, action_id)
+        game._check_action(idx, action_id)
+        contribs = game._station_contribs[game.robot_stations[idx]]
+        old_contribs, new_contribs = contribs[old], contribs[action_id]
         touched = {j for j, _ in old_contribs} | {j for j, _ in new_contribs}
         self._apply(old_contribs, -1)
         self._apply(new_contribs, +1)

@@ -8,7 +8,7 @@ current cell, which includes staying in place. A trajectory over a horizon
 robot's station and takes one such step per time index.
 """
 
-import numbers
+import operator
 from collections import defaultdict, deque
 
 from .errors import BudgetExceededError, DomainError, ValidationError
@@ -17,27 +17,32 @@ Cell = tuple  # (x, y), 1-based
 Trajectory = tuple  # of Cell, length horizon + 1
 
 
-def _is_integer(value):
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+def _as_integers(values):
+    """The one integer rule, over a sequence of values.
+
+    A value is an integer when it is not a ``bool`` and ``operator.index``
+    accepts it: Python and numpy integers pass; floats, strings and bools
+    (numpy's too) do not. Returns the plain ``int`` of every value as a
+    tuple, or None when some value is not an integer.
+    """
+    try:
+        ints = tuple(map(operator.index, values))
+    except TypeError:
+        return None
+    return None if bool in map(type, values) else ints
 
 
-def _is_cell(value):
-    """The one cell rule: a list or tuple of two integers."""
-    return (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(map(_is_integer, value))
-    )
+def _as_integer(value):
+    """``value`` as a plain ``int`` under the one integer rule, or None."""
+    ints = _as_integers((value,))
+    return None if ints is None else ints[0]
 
 
-def _checked_cells(cells, where):
-    """``cells`` as a tuple of tuples; a ValidationError names a bad ``where[i]``."""
-    out = []
-    for i, cell in enumerate(cells):
-        if not _is_cell(cell):
-            raise ValidationError(f"{where}[{i}]: expected an (x, y) integer pair")
-        out.append(tuple(cell))
-    return tuple(out)
+def _as_cell(value):
+    """The one cell rule: a list or tuple of two integers, as an int pair, or None."""
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        return _as_integers(value)
+    return None
 
 
 class Grid:
@@ -55,25 +60,20 @@ class Grid:
 
     def __init__(self, width, height, obstacles=(), stations=()):
         for name, value in (("width", width), ("height", height)):
-            if not _is_integer(value):
-                raise ValidationError(f"grid {name}: must be an integer")
-        if width < 1 or height < 1:
-            raise ValidationError("grid dimensions must be at least 1")
-        self.width = width
-        self.height = height
-        self.obstacles = frozenset(_checked_cells(obstacles, "obstacles"))
-        self.stations = _checked_cells(stations, "stations")
-        for c in self.obstacles:
-            if not self.in_bounds(c):
-                raise ValidationError(f"obstacle {c} is out of bounds")
+            size = _as_integer(value)
+            if size is None:
+                raise ValidationError(f"{name}: must be an integer")
+            if size < 1:
+                raise ValidationError(f"{name}: must be at least 1")
+            setattr(self, name, size)
+        self.obstacles = frozenset(self._checked_cells(obstacles, "obstacles"))
+        self.stations = self._checked_cells(stations, "stations")
         seen = set()
-        for i, s in enumerate(self.stations, start=1):
-            if not self.in_bounds(s):
-                raise ValidationError(f"station {i} at {s} is out of bounds")
+        for i, s in enumerate(self.stations):
             if s in self.obstacles:
-                raise ValidationError(f"station {i} at {s} sits on an obstacle")
+                raise ValidationError(f"stations[{i}]: {s} sits on an obstacle")
             if s in seen:
-                raise ValidationError(f"station {i} at {s} is duplicated")
+                raise ValidationError(f"stations[{i}]: {s} is duplicated")
             seen.add(s)
         self._neighbors = {}
         for c in self.feasible_cells:
@@ -86,6 +86,18 @@ class Grid:
                         nbs.append(q)
             self._neighbors[c] = tuple(sorted(nbs))
         self._distances = {}
+
+    def _checked_cells(self, values, where):
+        """``values`` as a tuple of in-bounds cells; a ValidationError names ``where[i]``."""
+        cells = []
+        for i, value in enumerate(values):
+            cell = _as_cell(value)
+            if cell is None:
+                raise ValidationError(f"{where}[{i}]: expected an (x, y) integer pair")
+            if not self.in_bounds(cell):
+                raise ValidationError(f"{where}[{i}]: {cell} is out of bounds")
+            cells.append(cell)
+        return tuple(cells)
 
     def __eq__(self, other):
         if not isinstance(other, Grid):

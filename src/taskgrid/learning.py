@@ -23,7 +23,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .game import JointPlan, ProfileState, _is_integer
+from .game import JointPlan, ProfileState
+from .grid import _as_integer
 
 BEST_RESPONSE = "br"
 LOG_LINEAR = "lll"
@@ -35,9 +36,9 @@ _INPUT_RULES = {
         lambda v: v in (BEST_RESPONSE, LOG_LINEAR),
         f"must be {BEST_RESPONSE!r} or {LOG_LINEAR!r}",
     ),
-    "rounds": (lambda v: _is_integer(v) and v >= 1, "must be an integer of at least 1"),
-    "runs": (lambda v: _is_integer(v) and v >= 1, "must be an integer of at least 1"),
-    "seed": (lambda v: _is_integer(v) and v >= 0, "must be a non-negative integer"),
+    "rounds": (lambda v: _as_integer(v) is not None and v >= 1, "must be an integer of at least 1"),
+    "runs": (lambda v: _as_integer(v) is not None and v >= 1, "must be an integer of at least 1"),
+    "seed": (lambda v: _as_integer(v) is not None and v >= 0, "must be a non-negative integer"),
     "epsilon": (
         lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool) and v > 0,
         "must be positive: a real number above 0, or inf",

@@ -41,13 +41,14 @@ Serialization is canonical, so parse -> serialize -> parse is the identity.
 
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 from .errors import DomainError, ValidationError
 from .game import GameInstance, _check_setup
-from .grid import Grid, _is_cell
+from .grid import Grid
 from .learning import _INPUT_RULES, _check_input
 from .tasks import Task, ValueFunction
 
@@ -96,83 +97,50 @@ class EpisodeSuite:
         )
 
 
-def _need(obj, key, kind, where):
+def _need(obj, key, where, kind=object):
+    """``obj[key]``; a ValidationError names a missing field or one of another kind."""
     if key not in obj:
         raise ValidationError(f"{where}: missing required field {key!r}")
     value = obj[key]
-    if kind is int and isinstance(value, bool):
-        raise ValidationError(f"{where}.{key}: must be an integer")
     if not isinstance(value, kind):
-        raise ValidationError(
-            f"{where}.{key}: expected {getattr(kind, '__name__', kind)}"
-        )
+        raise ValidationError(f"{where}.{key}: expected {kind.__name__}")
     return value
 
 
-def _cell(value, where):
-    if not _is_cell(value):
-        raise ValidationError(f"{where}: expected a [x, y] integer pair")
-    return tuple(value)
+@contextmanager
+def _within(prefix):
+    """Prefix the message of a ValidationError raised inside with ``prefix``."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise ValidationError(f"{prefix}{exc}") from None
+
+
+# value kind -> the fields a file must give for it, besides kind and max_value
+_VALUE_FIELDS = {
+    "simple": (),
+    "threshold_max": ("threshold",),
+    "threshold_sum": ("threshold",),
+    "sequential_heavy_light": ("heavy", "follow"),
+    "table": ("entries",),
+}
 
 
 def _parse_value(obj, where):
-    kind = _need(obj, "kind", str, where)
-    max_value = _need(obj, "max_value", int, where)
+    kind = _need(obj, "kind", where, str)
     known = {"kind", "max_value", "threshold", "heavy", "follow", "entries", "default"}
     for key in obj:
         if key not in known:
             raise ValidationError(f"{where}.{key}: unknown field")
-    try:
-        if kind == "simple":
-            return ValueFunction.simple(max_value)
-        if kind == "threshold_max":
-            return ValueFunction.threshold_max(
-                max_value, _need(obj, "threshold", int, where)
-            )
-        if kind == "threshold_sum":
-            return ValueFunction.threshold_sum(
-                max_value, _need(obj, "threshold", int, where)
-            )
-        if kind == "sequential_heavy_light":
-            return ValueFunction.sequential_heavy_light(
-                max_value,
-                _need(obj, "heavy", int, where),
-                _need(obj, "follow", int, where),
-            )
-        if kind == "table":
-            entries = _need(obj, "entries", list, where)
-            parsed = {}
-            for i, pair in enumerate(entries):
-                if not (isinstance(pair, list) and len(pair) == 2):
-                    raise ValidationError(
-                        f"{where}.entries[{i}]: expected [counter, value]"
-                    )
-                counter, val = pair
-                if not (
-                    isinstance(counter, list)
-                    and all(isinstance(e, int) and not isinstance(e, bool) for e in counter)
-                ):
-                    raise ValidationError(
-                        f"{where}.entries[{i}]: counter must be an integer list"
-                    )
-                if not isinstance(val, int) or isinstance(val, bool):
-                    raise ValidationError(
-                        f"{where}.entries[{i}]: value must be an integer"
-                    )
-                if tuple(counter) in parsed:
-                    raise ValidationError(
-                        f"{where}.entries[{i}]: duplicate counter {counter}"
-                    )
-                parsed[tuple(counter)] = val
-            default = obj.get("default")
-            if default is not None:
-                default = _need(obj, "default", int, where)
-            return ValueFunction.table(parsed.items(), max_value, default=default)
-    except ValidationError as exc:
-        if str(exc).startswith(where):
-            raise
-        raise ValidationError(f"{where}: {exc}") from None
-    raise ValidationError(f"{where}.kind: unknown value kind {kind!r}")
+    # an unknown kind needs no more fields; ValueFunction rejects it
+    fields = {
+        key: _need(obj, key, where)
+        for key in ("max_value",) + _VALUE_FIELDS.get(kind, ())
+    }
+    if kind == "table":
+        fields["default"] = obj.get("default")
+    with _within(f"{where}."):
+        return ValueFunction(kind, **fields)
 
 
 def _json_object(data):
@@ -196,24 +164,18 @@ def _scenario_from_object(obj):
     for key in obj:
         if key not in known:
             raise ValidationError(f"scenario.{key}: unknown field")
-    env = _need(obj, "environment", dict, "scenario")
-    width = _need(env, "width", int, "environment")
-    height = _need(env, "height", int, "environment")
-    obstacles = [
-        _cell(c, f"environment.obstacles[{i}]")
-        for i, c in enumerate(_need(env, "obstacles", list, "environment"))
-    ]
-    stations = [
-        _cell(c, f"environment.stations[{i}]")
-        for i, c in enumerate(_need(env, "stations", list, "environment"))
-    ]
+    env = _need(obj, "environment", "scenario", dict)
+    width, height = (_need(env, key, "environment") for key in ("width", "height"))
+    obstacles = _need(env, "obstacles", "environment", list)
+    stations = _need(env, "stations", "environment", list)
     if not stations:
         raise ValidationError("environment.stations: at least one station required")
-    grid = Grid(width, height, obstacles=obstacles, stations=stations)
+    with _within("environment."):
+        grid = Grid(width, height, obstacles=obstacles, stations=stations)
 
-    horizon = _need(obj, "horizon", int, "scenario")
-    robots = _need(obj, "robots", list, "scenario")
-    raw_tasks = _need(obj, "tasks", list, "scenario")
+    horizon = _need(obj, "horizon", "scenario")
+    robots = _need(obj, "robots", "scenario", list)
+    raw_tasks = _need(obj, "tasks", "scenario", list)
     parsed_tasks = []
     for i, t in enumerate(raw_tasks):
         where = f"tasks[{i}]"
@@ -222,16 +184,12 @@ def _scenario_from_object(obj):
         for key in t:
             if key not in {"id", "location", "arrival", "departure", "value"}:
                 raise ValidationError(f"{where}.{key}: unknown field")
-        if "id" not in t:
-            raise ValidationError(f"{where}: missing required field 'id'")
-        location = _cell(_need(t, "location", list, where), f"{where}.location")
-        arrival = _need(t, "arrival", int, where)
-        departure = _need(t, "departure", int, where)
-        value = _parse_value(_need(t, "value", dict, where), f"{where}.value")
-        try:
-            parsed_tasks.append(Task(t["id"], location, arrival, departure, value))
-        except ValidationError as exc:
-            raise ValidationError(f"{where}: {exc}") from None
+        fields = [
+            _need(t, key, where) for key in ("id", "location", "arrival", "departure")
+        ]
+        value = _parse_value(_need(t, "value", where, dict), f"{where}.value")
+        with _within(f"{where}."):
+            parsed_tasks.append(Task(*fields, value))
     _check_setup(grid, horizon, robots, parsed_tasks)
     return Scenario(
         grid=grid,
@@ -312,10 +270,8 @@ def _load(path, build):
         data = Path(path).read_bytes()
     except OSError as exc:
         raise ValidationError(f"{path}: cannot read: {exc}") from None
-    try:
+    with _within(f"{path}: "):
         return build(_json_object(data), Path(path).parent)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
 
 
 def load_scenario(path):
@@ -339,16 +295,16 @@ def _episodes_from_object(obj, directory):
     for key in obj:
         if key not in known:
             raise ValidationError(f"episodes.{key}: unknown field")
-    env_ref = _need(obj, "environment_from", str, "episodes")
-    tasks_ref = _need(obj, "tasks_from", str, "episodes")
+    env_ref = _need(obj, "environment_from", "episodes", str)
+    tasks_ref = _need(obj, "tasks_from", "episodes", str)
     base = load_scenario(directory / env_ref)
     task_source = (
         base if tasks_ref == env_ref else load_scenario(directory / tasks_ref)
     )
     by_id = {task.id: task for task in task_source.tasks}
-    horizon = _need(obj, "horizon", int, "episodes")
-    robots = _need(obj, "robots", list, "episodes")
-    raw_eps = _need(obj, "episodes", list, "episodes")
+    horizon = _need(obj, "horizon", "episodes")
+    robots = _need(obj, "robots", "episodes", list)
+    raw_eps = _need(obj, "episodes", "episodes", list)
     defaults = _learning_defaults(obj, "episodes")
     episodes = []
     seen = set()
@@ -356,22 +312,20 @@ def _episodes_from_object(obj, directory):
         where = f"episodes[{i}]"
         if not isinstance(ep, dict):
             raise ValidationError(f"{where}: expected an object")
-        name = _need(ep, "name", str, where)
+        name = _need(ep, "name", where, str)
         if name in seen:
             raise ValidationError(f"{where}: duplicate name {name!r}")
         seen.add(name)
         chosen = []
-        for k, tid in enumerate(_need(ep, "tasks", list, where)):
+        for k, tid in enumerate(_need(ep, "tasks", where, list)):
             try:
                 chosen.append(by_id[tid])
             except (KeyError, TypeError):
                 raise ValidationError(
                     f"{where}.tasks[{k}]: task id {tid!r} not found in {tasks_ref}"
                 ) from None
-        try:
+        with _within(f"{where}: "):
             _check_setup(base.grid, horizon, robots, chosen)
-        except ValidationError as exc:
-            raise ValidationError(f"{where}: {exc}") from None
         scenario = Scenario(
             grid=base.grid,
             horizon=horizon,

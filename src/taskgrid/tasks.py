@@ -6,11 +6,11 @@ served the location at each window step) to an integer between 0 and a cap.
 Every built-in variant is monotone: adding robots never lowers the value.
 """
 
-import operator
 from dataclasses import dataclass
 from itertools import product
 
 from .errors import BudgetExceededError, DomainError, ValidationError
+from .grid import _as_cell, _as_integer, _as_integers
 
 VALUE_KINDS = (
     "simple",
@@ -19,10 +19,6 @@ VALUE_KINDS = (
     "sequential_heavy_light",
     "table",
 )
-
-
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -42,7 +38,8 @@ class ValueFunction:
         step has at least ``heavy`` robots and the later steps together
         provide at least ``follow`` robots.
     entries
-        For ``table``: tuple of (counter tuple, value) pairs.
+        For ``table``: (counter, value) pairs, at most one per counter; kept
+        as a tuple of (int tuple, int) pairs sorted by counter.
     default
         For ``table``: value used for counters absent from ``entries``.
         When None, lookups outside the table are a domain error.
@@ -57,55 +54,64 @@ class ValueFunction:
     default: int = None
 
     def __post_init__(self):
+        # messages start with the field path within the value function
         if self.kind not in VALUE_KINDS:
-            raise ValidationError(f"unknown value-function kind {self.kind!r}")
-        if not _is_int(self.max_value):
-            raise ValidationError("max_value must be an integer")
+            raise ValidationError(f"kind: unknown value kind {self.kind!r}")
+        for name in ("max_value", "threshold", "heavy", "follow"):
+            value = _as_integer(getattr(self, name))
+            if value is None:
+                raise ValidationError(f"{name}: must be an integer")
+            object.__setattr__(self, name, value)
         if self.max_value <= 0:
-            raise ValidationError("max_value must be positive")
-        for name in ("threshold", "heavy", "follow"):
-            if not _is_int(getattr(self, name)):
-                raise ValidationError(f"{name} must be an integer")
+            raise ValidationError("max_value: must be positive")
         if self.kind in ("threshold_max", "threshold_sum") and self.threshold < 1:
-            raise ValidationError("threshold must be at least 1")
+            raise ValidationError("threshold: must be at least 1")
         if self.kind == "sequential_heavy_light":
-            if self.heavy < 1 or self.follow < 1:
-                raise ValidationError("heavy and follow must be at least 1")
+            for name in ("heavy", "follow"):
+                if getattr(self, name) < 1:
+                    raise ValidationError(f"{name}: must be at least 1")
         if self.kind == "table":
-            if not self.entries:
-                raise ValidationError("table variant requires entries")
-            try:
-                entries = tuple((tuple(c), v) for c, v in self.entries)
-            except (TypeError, ValueError):
+            self._check_table()
+
+    def _check_table(self):
+        # counters become int tuples, since evaluate compares whole tuples
+        if not (isinstance(self.entries, (list, tuple)) and self.entries):
+            raise ValidationError("entries: a table needs a list of entries")
+        # counter -> value; not a field, so equality and hashing see the entries
+        lookup = {}
+        for i, entry in enumerate(self.entries):
+            where = f"entries[{i}]"
+            if not (
+                isinstance(entry, (list, tuple))
+                and len(entry) == 2
+                and isinstance(entry[0], (list, tuple))
+            ):
+                raise ValidationError(f"{where}: expected a (counter, value) pair")
+            counter, value = _as_integers(entry[0]), _as_integer(entry[1])
+            if counter is None or min(counter, default=0) < 0:
                 raise ValidationError(
-                    "table entries must be (counter, value) pairs"
-                ) from None
-            # evaluate compares whole tuples, so a list counter would never match
-            object.__setattr__(self, "entries", entries)
-            for counter, value in entries:
-                if not all(_is_int(e) for e in counter):
-                    raise ValidationError(f"table counter {counter} must hold integers")
-                if any(e < 0 for e in counter):
-                    raise ValidationError(f"table counter {counter} has a negative entry")
-                if not _is_int(value):
-                    raise ValidationError(
-                        f"table value {value!r} for {counter} must be an integer"
-                    )
-                if not 0 <= value <= self.max_value:
-                    raise ValidationError(
-                        f"table value {value} for {counter} outside [0, {self.max_value}]"
-                    )
-            if self.default is not None:
-                if not _is_int(self.default):
-                    raise ValidationError("default must be an integer")
-                if not 0 <= self.default <= self.max_value:
-                    raise ValidationError("table default outside [0, max_value]")
-            # counter -> value, the first entry of a counter winning; not a
-            # field, so equality and hashing still see the entries alone
-            lookup = {}
-            for counter, value in entries:
-                lookup.setdefault(counter, value)
-            object.__setattr__(self, "_lookup", lookup)
+                    f"{where}: counter {tuple(entry[0])} must hold non-negative integers"
+                )
+            if value is None:
+                raise ValidationError(f"{where}: value {entry[1]!r} must be an integer")
+            if not 0 <= value <= self.max_value:
+                raise ValidationError(
+                    f"{where}: value {value} outside [0, {self.max_value}]"
+                )
+            if counter in lookup:
+                raise ValidationError(f"{where}: duplicate counter {counter}")
+            lookup[counter] = value
+        if self.default is not None:
+            default = _as_integer(self.default)
+            if default is None:
+                raise ValidationError("default: must be an integer")
+            if not 0 <= default <= self.max_value:
+                raise ValidationError(
+                    f"default: {default} outside [0, {self.max_value}]"
+                )
+            object.__setattr__(self, "default", default)
+        object.__setattr__(self, "entries", tuple(sorted(lookup.items())))
+        object.__setattr__(self, "_lookup", lookup)
 
     # -- constructors ----------------------------------------------------
 
@@ -130,12 +136,7 @@ class ValueFunction:
 
     @classmethod
     def table(cls, entries, max_value, default=None):
-        canonical = tuple(
-            sorted((tuple(c), v) for c, v in dict(
-                (tuple(c), v) for c, v in entries
-            ).items())
-        )
-        return cls("table", max_value, entries=canonical, default=default)
+        return cls("table", max_value, entries=tuple(entries), default=default)
 
     # -- evaluation ------------------------------------------------------
 
@@ -145,10 +146,9 @@ class ValueFunction:
 
     def evaluate(self, counter):
         """Value for a counter vector (one entry per window step)."""
-        try:
-            c = tuple(operator.index(e) for e in counter)
-        except TypeError:
-            raise DomainError(f"counter {tuple(counter)} must contain integers") from None
+        c = _as_integers(counter)
+        if c is None:
+            raise DomainError(f"counter {tuple(counter)} must contain integers")
         if any(e < 0 for e in c):
             raise DomainError(f"counter {c} must contain non-negative integers")
         if self.kind == "simple":
@@ -184,21 +184,24 @@ class Task:
     value: ValueFunction
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "location", tuple(self.location))
-        except TypeError:
+        # messages start with the field path within the task
+        location = _as_cell(self.location)
+        if location is None:
+            raise ValidationError("location: expected an (x, y) integer pair")
+        arrival, departure = _as_integer(self.arrival), _as_integer(self.departure)
+        if arrival is None:
+            raise ValidationError("arrival: must be an integer")
+        if departure is None:
+            raise ValidationError("departure: must be an integer")
+        if arrival < 0:
+            raise ValidationError("arrival: must be non-negative")
+        if departure <= arrival:
             raise ValidationError(
-                f"task {self.id}: location must be an (x, y) integer pair"
-            ) from None
-        if not (_is_int(self.arrival) and _is_int(self.departure)):
-            raise ValidationError(f"task {self.id}: window bounds must be integers")
-        if self.arrival < 0:
-            raise ValidationError(f"task {self.id}: arrival must be non-negative")
-        if self.departure <= self.arrival:
-            raise ValidationError(
-                f"task {self.id}: departure {self.departure} must be greater "
-                f"than arrival {self.arrival}"
+                f"departure: {departure} must be greater than arrival {arrival}"
             )
+        object.__setattr__(self, "location", location)
+        object.__setattr__(self, "arrival", arrival)
+        object.__setattr__(self, "departure", departure)
 
     @property
     def window(self):

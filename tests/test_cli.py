@@ -332,6 +332,19 @@ class TestAnalyze:
         assert code == 2
         assert BUDGET_ENV in err
 
+    @pytest.mark.parametrize(
+        "flag, env, name",
+        [("0", None, "--budget"), (None, "-5", BUDGET_ENV), ("-1", "9", "--budget")],
+    )
+    def test_budget_must_be_a_positive_integer(self, capsys, monkeypatch, flag, env, name):
+        if env is not None:
+            monkeypatch.setenv(BUDGET_ENV, env)
+        argv = ["analyze", example("example_3.json")]
+        code, out, err = run_cli(capsys, *argv, *(["--budget", flag] if flag else []))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {name} must be a positive integer")
+
 
 class TestBatch:
     def manifest(self, tmp_path, jobs):

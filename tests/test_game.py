@@ -141,12 +141,11 @@ class TestConstructionValidation:
         "location", ["ab", (1, 1, 1), (1.5, 1), (True, 1)]
     )
     def test_location_must_be_an_integer_pair(self, location):
-        grid = Grid(3, 3, stations=[(2, 2)])
-        tasks = [Task(1, location, 0, 2, ValueFunction.simple(1))]
+        # Task owns the rule, so no game with such a task can be built
         with pytest.raises(
-            ValidationError, match=r"tasks\[0\]\.location: expected an \(x, y\) integer"
+            ValidationError, match=r"^location: expected an \(x, y\) integer"
         ):
-            GameInstance(grid, 2, [1], tasks)
+            Task(1, location, 0, 2, ValueFunction.simple(1))
 
     def test_value_must_be_a_value_function(self):
         grid = Grid(3, 3, stations=[(2, 2)])
@@ -235,6 +234,16 @@ class TestProfileStateAgainstNaive:
             for robot_id, action_id in random_plan_walk(rng, game, 30):
                 state.switch(robot_id, action_id)
                 assert state.global_value() == global_value(game, state.plan())
+
+    def test_engine_calls_reject_an_unknown_robot_id(self, games):
+        game = games["example_3.json"]
+        state = ProfileState(game, JointPlan((0, 0)))
+        for robot_id in (0, 3):
+            with pytest.raises(DomainError, match=f"unknown robot id {robot_id}"):
+                state.switch(robot_id, 1)
+            with pytest.raises(DomainError, match=f"unknown robot id {robot_id}"):
+                state.utilities_over_actions(robot_id)
+        assert state.plan() == JointPlan((0, 0))
 
     def test_switch_rejects_an_action_id_out_of_range(self, games):
         game = games["example_3.json"]

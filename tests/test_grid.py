@@ -50,9 +50,9 @@ class TestGridConstruction:
             Grid(3, 3, stations=[(1, 1), (1, 1)])
 
     def test_bool_dimension_rejected(self):
-        with pytest.raises(ValidationError, match=r"grid width: must be an integer"):
+        with pytest.raises(ValidationError, match=r"^width: must be an integer"):
             Grid(True, 3)
-        with pytest.raises(ValidationError, match=r"grid height: must be an integer"):
+        with pytest.raises(ValidationError, match=r"^height: must be an integer"):
             Grid(3, False)
 
     @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from taskgrid import (
@@ -257,7 +258,7 @@ class TestDiagnostics:
         }
         with pytest.raises(
             ValidationError,
-            match=r"tasks\[0\]\.value\.entries\[1\]: duplicate counter \[0, 0, 0\]",
+            match=r"tasks\[0\]\.value\.entries\[1\]: duplicate counter \(0, 0, 0\)",
         ):
             parse_object(obj)
 
@@ -387,6 +388,95 @@ def test_file_and_constructor_break_a_rule_with_one_message(case):
     with pytest.raises(ValidationError, match=rule) as from_game:
         GameInstance(bad.grid, bad.horizon, bad.robot_stations, bad.tasks)
     assert str(from_file.value) == str(from_game.value)
+
+
+def _value(**fields):
+    return lambda obj: obj["tasks"][0].update(value=fields)
+
+
+# rules a constructor owns: (change to the file, the path the parser adds,
+# the same input built directly, the constructor's message)
+CONSTRUCTOR_RULE_CASES = {
+    "station out of bounds": (
+        lambda obj: obj["environment"].update(stations=[[9, 9]]),
+        "environment",
+        lambda: Grid(3, 3, obstacles=[(3, 1)], stations=[(9, 9)]),
+        r"stations\[0\]: \(9, 9\) is out of bounds",
+    ),
+    "obstacle out of bounds": (
+        lambda obj: obj["environment"].update(obstacles=[[3, 1], [4, 1]]),
+        "environment",
+        lambda: Grid(3, 3, obstacles=[(3, 1), (4, 1)], stations=[(2, 2)]),
+        r"obstacles\[1\]: \(4, 1\) is out of bounds",
+    ),
+    "width 0": (
+        lambda obj: obj["environment"].update(width=0),
+        "environment",
+        lambda: Grid(0, 3, obstacles=[(3, 1)], stations=[(2, 2)]),
+        "width: must be at least 1",
+    ),
+    "fractional arrival": (
+        lambda obj: obj["tasks"][0].update(arrival=0.5),
+        "tasks[0]",
+        lambda: _task(arrival=0.5),
+        "arrival: must be an integer",
+    ),
+    "threshold 0": (
+        _value(kind="threshold_sum", max_value=1, threshold=0),
+        "tasks[0].value",
+        lambda: ValueFunction.threshold_sum(1, 0),
+        "threshold: must be at least 1",
+    ),
+    "fractional table value": (
+        _value(kind="table", max_value=2, entries=[[[0, 0, 0], 0], [[1, 0, 0], 1.5]]),
+        "tasks[0].value",
+        lambda: ValueFunction.table([((0, 0, 0), 0), ((1, 0, 0), 1.5)], 2),
+        r"entries\[1\]: value 1\.5 must be an integer",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CONSTRUCTOR_RULE_CASES)
+def test_a_constructor_rule_fails_a_file_under_the_field_path(case):
+    """A file's message is the field path, a dot, and the constructor's message."""
+    change, path, build, rule = CONSTRUCTOR_RULE_CASES[case]
+    with pytest.raises(ValidationError, match=f"^{rule}$") as direct:
+        build()
+    obj = minimal_object()
+    change(obj)
+    with pytest.raises(ValidationError) as from_file:
+        parse_object(obj)
+    assert str(from_file.value) == f"{path}.{direct.value}"
+
+
+@pytest.mark.parametrize(
+    "build, stored",
+    [
+        (
+            lambda n: Grid(n(3), n(2), obstacles=[(n(3), n(1))], stations=[[n(2), n(2)]]),
+            lambda g: [g.width, g.height, *next(iter(g.obstacles)), *g.stations[0]],
+        ),
+        (
+            lambda n: Task(1, [n(1), n(1)], n(0), n(3), ValueFunction.simple(1)),
+            lambda t: [*t.location, t.arrival, t.departure],
+        ),
+        (
+            lambda n: ValueFunction.table([((n(0),), n(1))], n(2), default=n(1)),
+            lambda v: [v.max_value, v.default, *v.entries[0][0], v.entries[0][1]],
+        ),
+        (
+            lambda n: GameInstance(Grid(3, 3, stations=[(2, 2)]), n(3), [n(1)], []),
+            lambda g: [g.horizon, *g.robot_stations],
+        ),
+    ],
+    ids=["Grid", "Task", "ValueFunction", "GameInstance"],
+)
+def test_the_one_integer_rule(build, stored):
+    """numpy integers are kept as plain ints; bools are not integers."""
+    values = stored(build(np.int64))
+    assert values and all(type(v) is int for v in values)
+    with pytest.raises(ValidationError, match="integer"):
+        build(bool)
 
 
 class TestEpisodeSuites:

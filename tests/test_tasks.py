@@ -81,8 +81,9 @@ class TestTable:
 
     def test_entries_are_canonicalized(self):
         a = ValueFunction.table([((1, 0), 2), ((0, 0), 0)], 4)
-        b = ValueFunction.table([((0, 0), 0), ((1, 0), 1), ((1, 0), 2)], 4)
-        assert a == b  # later duplicates win, order is normalized
+        b = ValueFunction("table", 4, entries=[[[0, 0], 0], [[1, 0], 2]])
+        assert a == b and hash(a) == hash(b)
+        assert a.entries == (((0, 0), 0), ((1, 0), 2))
 
     def test_value_bounds_enforced(self):
         with pytest.raises(ValidationError):
@@ -115,13 +116,14 @@ class TestTable:
             with pytest.raises(ValidationError, match="integer"):
                 make()
 
-    def test_first_entry_of_a_duplicate_counter_wins(self):
-        vf = ValueFunction("table", 5, entries=(((1,), 2), ((0,), 0), ((1,), 3)))
-        assert vf._lookup == {(1,): 2, (0,): 0}
-        assert vf.evaluate((1,)) == 2
-        # the lookup is not a field: equality and hashing see the entries
-        again = ValueFunction("table", 5, entries=(((1,), 2), ((0,), 0), ((1,), 3)))
-        assert vf == again and hash(vf) == hash(again)
+    def test_a_duplicate_counter_is_rejected(self):
+        # both constructors once gave a repeated counter different values
+        entries = [((1,), 2), ((0,), 0), ((1,), 3)]
+        message = r"^entries\[2\]: duplicate counter \(1,\)$"
+        with pytest.raises(ValidationError, match=message):
+            ValueFunction("table", 5, entries=tuple(entries))
+        with pytest.raises(ValidationError, match=message):
+            ValueFunction.table(entries, 5)
 
     def test_list_counters_become_tuples(self):
         vf = ValueFunction("table", 1, entries=(([0], 1),), default=0)
@@ -130,7 +132,9 @@ class TestTable:
 
     @pytest.mark.parametrize("entries", [((1,),), (((0,), 1, 2),), ((5, 1),)])
     def test_entries_must_be_counter_value_pairs(self, entries):
-        with pytest.raises(ValidationError, match="table entries"):
+        with pytest.raises(
+            ValidationError, match=r"^entries\[0\]: expected a \(counter, value\) pair"
+        ):
             ValueFunction("table", 1, entries=entries, default=0)
 
 
@@ -143,6 +147,11 @@ class TestEvaluationDomain:
     def test_floats_are_rejected(self):
         with pytest.raises(DomainError):
             ValueFunction.simple(1).evaluate((1.5,))
+
+    @pytest.mark.parametrize("counter", [(True,), (0, np.bool_(True))], ids=repr)
+    def test_bools_are_rejected(self, counter):
+        with pytest.raises(DomainError, match="must contain integers"):
+            ValueFunction.simple(5).evaluate(counter)
 
     def test_negative_entries_are_rejected(self):
         with pytest.raises(DomainError):
@@ -173,13 +182,13 @@ class TestTask:
             Task(1, (1, 1), 0, 2.0, vf)
 
     def test_a_location_that_is_not_iterable_is_rejected(self):
-        with pytest.raises(ValidationError, match=r"task 1: location must be an \(x, y\)"):
+        with pytest.raises(ValidationError, match=r"^location: expected an \(x, y\)"):
             Task(1, 5, 0, 2, ValueFunction.simple(1))
 
     def test_bool_window_bounds_are_rejected(self):
         vf = ValueFunction.simple(1)
         for arrival, departure in ((False, True), (0, True), (False, 2)):
-            with pytest.raises(ValidationError, match="window bounds"):
+            with pytest.raises(ValidationError, match="must be an integer"):
                 Task(1, (1, 1), arrival, departure, vf)
 
 
