@@ -107,6 +107,13 @@ def _need(obj, key, where, kind=object):
     return value
 
 
+def _only(obj, known, where):
+    """Reject a field of ``obj`` outside ``known``, naming ``where.field``."""
+    for key in obj:
+        if key not in known:
+            raise ValidationError(f"{where}.{key}: unknown field")
+
+
 @contextmanager
 def _within(prefix):
     """Prefix the message of a ValidationError raised inside with ``prefix``."""
@@ -129,9 +136,7 @@ _VALUE_FIELDS = {
 def _parse_value(obj, where):
     kind = _need(obj, "kind", where, str)
     known = {"kind", "max_value", "threshold", "heavy", "follow", "entries", "default"}
-    for key in obj:
-        if key not in known:
-            raise ValidationError(f"{where}.{key}: unknown field")
+    _only(obj, known, where)
     # an unknown kind needs no more fields; ValueFunction rejects it
     fields = {
         key: _need(obj, key, where)
@@ -160,11 +165,9 @@ def parse_scenario(data):
 
 
 def _scenario_from_object(obj):
-    known = {"environment", "horizon", "robots", "tasks", "defaults"}
-    for key in obj:
-        if key not in known:
-            raise ValidationError(f"scenario.{key}: unknown field")
+    _only(obj, {"environment", "horizon", "robots", "tasks", "defaults"}, "scenario")
     env = _need(obj, "environment", "scenario", dict)
+    _only(env, {"width", "height", "obstacles", "stations"}, "environment")
     width, height = (_need(env, key, "environment") for key in ("width", "height"))
     obstacles = _need(env, "obstacles", "environment", list)
     stations = _need(env, "stations", "environment", list)
@@ -181,9 +184,7 @@ def _scenario_from_object(obj):
         where = f"tasks[{i}]"
         if not isinstance(t, dict):
             raise ValidationError(f"{where}: expected an object")
-        for key in t:
-            if key not in {"id", "location", "arrival", "departure", "value"}:
-                raise ValidationError(f"{where}.{key}: unknown field")
+        _only(t, {"id", "location", "arrival", "departure", "value"}, where)
         fields = [
             _need(t, key, where) for key in ("id", "location", "arrival", "departure")
         ]
@@ -292,9 +293,7 @@ def _episodes_from_object(obj, directory):
     if not is_episode_object(obj):
         raise ValidationError("not an episode-suite file (no 'episodes')")
     known = {"environment_from", "tasks_from", "horizon", "robots", "episodes", "defaults"}
-    for key in obj:
-        if key not in known:
-            raise ValidationError(f"episodes.{key}: unknown field")
+    _only(obj, known, "episodes")
     env_ref = _need(obj, "environment_from", "episodes", str)
     tasks_ref = _need(obj, "tasks_from", "episodes", str)
     base = load_scenario(directory / env_ref)
@@ -312,6 +311,7 @@ def _episodes_from_object(obj, directory):
         where = f"episodes[{i}]"
         if not isinstance(ep, dict):
             raise ValidationError(f"{where}: expected an object")
+        _only(ep, {"name", "tasks"}, where)
         name = _need(ep, "name", where, str)
         if name in seen:
             raise ValidationError(f"{where}: duplicate name {name!r}")

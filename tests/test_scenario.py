@@ -214,6 +214,12 @@ class TestDiagnostics:
         with pytest.raises(ValidationError, match="duplicate ids 1"):
             parse_object(obj)
 
+    def test_unknown_environment_field(self):
+        obj = minimal_object()
+        obj["environment"]["colour"] = "red"
+        with pytest.raises(ValidationError, match=r"^environment\.colour: unknown field"):
+            parse_object(obj)
+
     def test_unknown_task_field(self):
         obj = minimal_object()
         obj["tasks"][0]["priority"] = 3
@@ -586,6 +592,9 @@ class TestEpisodeSuites:
             tmp_path, [{"name": "one", "tasks": [1]}], comment="x"
         )
         with pytest.raises(ValidationError, match="unknown field"):
+            load_episodes(path)
+        path = self.write_suite(tmp_path, [{"name": "one", "tasks": [1], "seed": 2}])
+        with pytest.raises(ValidationError, match=r"episodes\[0\]\.seed: unknown field"):
             load_episodes(path)
 
     def test_non_suite_file_rejected(self, tmp_path):
