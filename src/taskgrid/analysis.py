@@ -7,6 +7,12 @@ log-linear chain's stationary distribution is the Gibbs law of the potential,
 taken once the potential identity is checked in integers at every joint plan.
 These serve as oracles for the learning dynamics and for the price-of-anarchy
 bound on single-station games with simple tasks.
+
+The value array over joint plans is built task by task without visiting the
+plans: a task's value depends on the plan only through the offsets each
+robot's action adds to its counter, and the actions of a station add few
+distinct offset tuples to any one task. Only the identity check walks the
+plans, because it must call the learning kernel at each of them.
 """
 
 import math
@@ -74,18 +80,56 @@ def _walk_profiles(game, shape):
         state.switch(i + 1, ids[i])
 
 
+def _station_axes(game, number):
+    """Per task: the distinct offset tuples a station's actions add to it,
+    and each action's index into them.
+
+    ``()`` stands for adding nothing, which most actions do. A task that all
+    actions add the same tuple to gets a one-entry index array, which
+    broadcasts.
+    """
+    pieces = [{} for _ in game.tasks]
+    codes = [[] for _ in game.tasks]
+    for contrib in game._station_contribs[number]:
+        served = dict(contrib)
+        for j, (index, row) in enumerate(zip(pieces, codes)):
+            row.append(index.setdefault(served.get(j, ()), len(index)))
+    return [
+        (tuple(index), np.array(row if len(index) > 1 else row[:1], dtype=np.intp))
+        for index, row in zip(pieces, codes)
+    ]
+
+
 def profile_values(game, budget=DEFAULT_PROFILE_BUDGET):
     """Global value of every joint plan, as an integer array over action ids.
 
-    Axis ``i`` indexes robot ``i + 1``'s actions; entries are exact. The
-    enumeration walks the profiles with incremental counter updates.
+    Axis ``i`` indexes robot ``i + 1``'s actions; entries are exact. No plan
+    is visited: for each task, every combination of the robots' distinct
+    offset tuples (``_station_axes``) is summed into a counter and valued
+    once, each distinct counter by one ``ValueFunction.evaluate`` call, and
+    the task's table of values is added to the array through ``np.ix_``.
+    The ``max_value`` sum is below 2**63, so the int64 sums cannot wrap.
     """
-    shape, size = _profile_shape(game, budget)
-    return np.fromiter(
-        (state.global_value() for _, state in _walk_profiles(game, shape)),
-        dtype=np.int64,
-        count=size,
-    ).reshape(shape)
+    shape, _ = _profile_shape(game, budget)
+    axes = {number: _station_axes(game, number) for number in set(game.robot_stations)}
+    values = np.zeros(shape, dtype=np.int64)
+    for j, task in enumerate(game.tasks):
+        pieces, codes = zip(*(axes[number][j] for number in game.robot_stations))
+        memo = {}
+        table = []
+        for combo in product(*pieces):
+            counter = [0] * task.window_length
+            for offsets in combo:
+                for o in offsets:
+                    counter[o] += 1
+            key = tuple(counter)
+            value = memo.get(key)
+            if value is None:
+                value = memo[key] = task.value.evaluate(key)
+            table.append(value)
+        table = np.array(table, dtype=np.int64).reshape([len(p) for p in pieces])
+        values += table[np.ix_(*codes)]
+    return values
 
 
 def brute_force_optimum(game, budget=DEFAULT_PROFILE_BUDGET):
@@ -273,24 +317,40 @@ def lll_stationary_distribution(game, epsilon, budget=10_000):
     Gibbs law ``exp(value / epsilon) / Z`` over joint plans. That identity
     is checked in integers before the law is taken: at every joint plan, for
     every robot, the learning kernel's utility minus the global value must be
-    the same for all of the robot's actions, or this raises. The check does
-    not depend on ``epsilon``.
+    the same for all of the robot's actions, or this raises, naming the first
+    robot and plan in walk order that break it. One walk over the plans calls
+    the kernel for every robot at every plan and keeps its rows; each robot's
+    rows are then compared with the value array in one numpy step. The check
+    does not depend on ``epsilon``.
 
     Returns a flat probability vector in C order over the action-id
     product, summing to 1.
     """
     _check_epsilon(epsilon)
     values = profile_values(game, budget)
-    for ids, state in _walk_profiles(game, values.shape):
-        for i, own in enumerate(ids):
-            line = values[(*ids[:i], slice(None), *ids[i + 1:])]
-            gaps = np.subtract(state.utilities_over_actions(i + 1), line)
-            if (gaps != gaps[own]).any():
-                raise ConvergenceError(
-                    f"robot {i + 1} at plan {tuple(ids)}: utility minus global "
-                    f"value over its actions is {gaps.tolist()}, not constant; "
-                    "the utilities break the potential identity"
-                )
+    shape = values.shape
+    # rows[i][s]: robot i + 1's kernel utilities at the plan of flat index s
+    rows = [np.empty((values.size, n), dtype=np.int64) for n in shape]
+    for flat, (_, state) in enumerate(_walk_profiles(game, shape)):
+        for i, row in enumerate(rows):
+            row[flat] = state.utilities_over_actions(i + 1)
+    first = None  # (flat index, robot index, gaps) of the first break
+    for i, row in enumerate(rows):
+        # gaps[..., a]: utility of action a minus the value of the plan with
+        # robot i + 1 switched to a, which must not depend on a
+        lines = np.expand_dims(np.moveaxis(values, i, -1), i)
+        gaps = row.reshape(*shape, -1) - lines
+        broken = np.flatnonzero((gaps != gaps[..., :1]).any(axis=-1))
+        if broken.size and (first is None or broken[0] < first[0]):
+            first = (broken[0], i, gaps.reshape(values.size, -1)[broken[0]])
+    if first is not None:
+        flat, i, gaps = first
+        plan = tuple(int(k) for k in np.unravel_index(flat, shape))
+        raise ConvergenceError(
+            f"robot {i + 1} at plan {plan}: utility minus global "
+            f"value over its actions is {gaps.tolist()}, not constant; "
+            "the utilities break the potential identity"
+        )
     return _softmax(values.ravel(), epsilon)
 
 

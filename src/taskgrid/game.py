@@ -57,24 +57,34 @@ def _check_setup(grid, horizon, robot_stations, tasks):
     """The rules that tie a game's inputs together, each naming the scenario field.
 
     ``Grid``, ``Task`` and ``ValueFunction`` check their own fields. Scenario
-    files, episode suites and ``GameInstance`` all call this, so one bad
-    input fails with one ``ValidationError`` whichever way it arrives.
+    files, episode suites and ``GameInstance`` all call this (a suite through
+    its two halves), so one bad input fails with one ``ValidationError``
+    whichever way it arrives.
     """
+    _check_frame(grid, horizon, robot_stations)
+    _check_tasks(grid, horizon, len(robot_stations), tasks)
+
+
+def _check_frame(grid, horizon, robot_stations, where="scenario"):
+    """The horizon and robot rules; ``where`` names the object holding both."""
     if _as_integer(horizon) is None:
-        raise ValidationError("scenario.horizon: must be an integer")
+        raise ValidationError(f"{where}.horizon: must be an integer")
     if horizon < 1:
-        raise ValidationError("scenario.horizon: must be at least 1")
+        raise ValidationError(f"{where}.horizon: must be at least 1")
     if not robot_stations:
-        raise ValidationError("scenario.robots: at least one robot required")
+        raise ValidationError(f"{where}.robots: at least one robot required")
     n_stations = len(grid.stations)
     for i, s in enumerate(robot_stations):
         if _as_integer(s) is None:
-            raise ValidationError(f"robots[{i}]: expected a station number")
+            raise ValidationError(f"{where}.robots[{i}]: expected a station number")
         if not 1 <= s <= n_stations:
             raise ValidationError(
-                f"robots[{i}]: station number {s} outside 1..{n_stations}"
+                f"{where}.robots[{i}]: station number {s} outside 1..{n_stations}"
             )
-    cap = len(robot_stations)
+
+
+def _check_tasks(grid, horizon, cap, tasks):
+    """The task rules, against a valid horizon and ``cap`` robots."""
     for i, task in enumerate(tasks):
         where = f"tasks[{i}]"
         if _as_integer(task.id) is None and not isinstance(task.id, str):

@@ -22,7 +22,8 @@ per robot), the tasks, and optional learning defaults:
 Value kinds and parameters: ``simple`` (max_value), ``threshold_max`` and
 ``threshold_sum`` (max_value, threshold), ``sequential_heavy_light``
 (max_value, heavy, follow), ``table`` (max_value, entries, optional
-default). Table variants must pass the monotonicity gate at parse time.
+default). A field that the kind does not take is rejected. Table variants
+must pass the monotonicity gate at parse time.
 
 An episode-suite file shares one environment and robot list across several
 task subsets, referencing a task file by id instead of duplicating specs:
@@ -44,10 +45,11 @@ import json
 from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 
 from .errors import DomainError, ValidationError
-from .game import GameInstance, _check_setup
+from .game import GameInstance, _check_frame, _check_setup, _check_tasks
 from .grid import Grid
 from .learning import _INPUT_RULES, _check_input
 from .tasks import Task, ValueFunction
@@ -123,27 +125,30 @@ def _within(prefix):
         raise ValidationError(f"{prefix}{exc}") from None
 
 
-# value kind -> the fields a file must give for it, besides kind and max_value
+# value kind -> the fields it takes besides kind and max_value, all of them
+# required but a table's default
 _VALUE_FIELDS = {
     "simple": (),
     "threshold_max": ("threshold",),
     "threshold_sum": ("threshold",),
     "sequential_heavy_light": ("heavy", "follow"),
-    "table": ("entries",),
+    "table": ("entries", "default"),
 }
+_VALUE_KEYS = {"kind", "max_value", *chain(*_VALUE_FIELDS.values())}
 
 
 def _parse_value(obj, where):
     kind = _need(obj, "kind", where, str)
-    known = {"kind", "max_value", "threshold", "heavy", "follow", "entries", "default"}
-    _only(obj, known, where)
-    # an unknown kind needs no more fields; ValueFunction rejects it
+    _only(obj, _VALUE_KEYS, where)
+    # an unknown kind takes no more fields; ValueFunction rejects it
+    takes = ("max_value",) + _VALUE_FIELDS.get(kind, ())
+    for key in obj:
+        if kind in _VALUE_FIELDS and key not in ("kind", *takes):
+            raise ValidationError(f"{where}.{key}: not used by a {kind} value")
     fields = {
-        key: _need(obj, key, where)
-        for key in ("max_value",) + _VALUE_FIELDS.get(kind, ())
+        key: obj.get(key) if key == "default" else _need(obj, key, where)
+        for key in takes
     }
-    if kind == "table":
-        fields["default"] = obj.get("default")
     with _within(f"{where}."):
         return ValueFunction(kind, **fields)
 
@@ -303,7 +308,10 @@ def _episodes_from_object(obj, directory):
     by_id = {task.id: task for task in task_source.tasks}
     horizon = _need(obj, "horizon", "episodes")
     robots = _need(obj, "robots", "episodes", list)
+    _check_frame(base.grid, horizon, robots, "episodes")
     raw_eps = _need(obj, "episodes", "episodes", list)
+    if not raw_eps:
+        raise ValidationError("episodes: at least one episode required")
     defaults = _learning_defaults(obj, "episodes")
     episodes = []
     seen = set()
@@ -325,7 +333,7 @@ def _episodes_from_object(obj, directory):
                     f"{where}.tasks[{k}]: task id {tid!r} not found in {tasks_ref}"
                 ) from None
         with _within(f"{where}: "):
-            _check_setup(base.grid, horizon, robots, chosen)
+            _check_tasks(base.grid, horizon, len(robots), chosen)
         scenario = Scenario(
             grid=base.grid,
             horizon=horizon,
@@ -334,8 +342,6 @@ def _episodes_from_object(obj, directory):
             defaults=defaults,
         )
         episodes.append((name, scenario))
-    if not episodes:
-        raise ValidationError("episodes: at least one episode required")
     return EpisodeSuite(episodes=tuple(episodes))
 
 

@@ -11,6 +11,7 @@ from itertools import product
 import numpy as np
 
 from taskgrid import GameInstance, Grid, Task, ValueFunction, counters
+from taskgrid.analysis import _walk_profiles
 from taskgrid.errors import BudgetExceededError
 
 
@@ -163,3 +164,16 @@ def assert_contributions_are_counter_differences(game, rng):
                 without = counters(game, chosen, task, exclude_robot=robot_id)
                 got = [a - b for a, b in zip(with_robot, without)]
                 assert got == want, (robot_id, action_id, task.id)
+
+
+def walk_values(game):
+    """Global value of every joint plan, read from one ProfileState walk.
+
+    The oracle for ``profile_values``: it visits every plan in C order by
+    unilateral switches and reads the state's incremental total.
+    """
+    shape = game.action_set_sizes()
+    values = np.empty(shape, dtype=np.int64)
+    for ids, state in _walk_profiles(game, shape):
+        values[tuple(ids)] = state.global_value()
+    return values

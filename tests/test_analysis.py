@@ -5,7 +5,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from support import random_game
+from support import random_game, walk_values
 
 from taskgrid import (
     BudgetExceededError,
@@ -33,7 +33,7 @@ from taskgrid import (
     run_log_linear,
     total_variation,
 )
-from taskgrid.analysis import INFINITE_POA, lll_transition_matrix
+from taskgrid.analysis import INFINITE_POA, _walk_profiles, lll_transition_matrix
 from taskgrid.learning import LearningConfig
 
 
@@ -78,6 +78,52 @@ class TestProfileValues:
         expected = np.array(weights) / sum(weights)
         pi = lll_stationary_distribution(game, 0.2)
         assert pi == pytest.approx(expected, abs=1e-12)
+
+    def test_equals_the_walk_on_every_shipped_game_in_budget(self, all_games):
+        walked = 0
+        for name, game in all_games.items():
+            try:
+                values = profile_values(game)
+            except BudgetExceededError:
+                continue
+            assert values.dtype == np.int64
+            assert np.array_equal(values, walk_values(game)), name
+            walked += 1
+        assert walked == 8  # the examples and the five episodes
+
+    def test_values_each_counter_some_plan_reaches_once(
+        self, episode_games, monkeypatch
+    ):
+        # every action of robot 1 serves the first task, so no plan reaches a
+        # counter without robot 1 there
+        game = episode_games["episode-1"]
+        for _, state in _walk_profiles(game, game.action_set_sizes()):
+            pass
+        reached = sum(map(len, state._memo))  # the walk's distinct counters
+        calls = []
+        evaluate = ValueFunction.evaluate
+        monkeypatch.setattr(
+            ValueFunction, "evaluate", lambda vf, c: calls.append(c) or evaluate(vf, c)
+        )
+        profile_values(game)
+        assert len(calls) == reached
+
+    def test_entries_at_the_max_value_bound_are_exact(self):
+        # the max_value sum is 2**63 - 1, the largest int64; each robot serves
+        # the first task and then the second or the third, and the plan where
+        # the two robots split reaches the bound itself
+        grid = Grid(3, 1, stations=[(2, 1)])
+        tasks = [
+            Task(1, (1, 1), 1, 2, ValueFunction.simple(2**62)),
+            Task(2, (3, 1), 4, 5, ValueFunction.simple(2**62 - 2)),
+            Task(3, (1, 1), 4, 5, ValueFunction.simple(1)),
+        ]
+        game = GameInstance(grid, 6, [1, 1], tasks)
+        values = profile_values(game)
+        assert values.shape == (2, 2)
+        for ids in np.ndindex(values.shape):
+            assert values[ids].item() == global_value(game, JointPlan(ids))
+        assert values.max().item() == 2**63 - 1
 
     def test_budget_guard(self, games):
         with pytest.raises(BudgetExceededError):
@@ -260,6 +306,31 @@ class TestChain:
                     ConvergenceError, match="break the potential identity"
                 ):
                     lll_stationary_distribution(games["example_3.json"], epsilon)
+
+    @pytest.mark.parametrize("robot_id", [2, 3])
+    def test_one_utility_off_at_one_plan_is_named(
+        self, episode_games, monkeypatch, robot_id
+    ):
+        game = episode_games["episode-1"]  # three robots, 8 * 6 * 6 plans
+        plan = (3, 4, 2)
+        # later breaks in walk order: higher robots at the plan, a later plan
+        breaks = {(r, plan) for r in range(robot_id, 4)}
+        breaks |= {(r, (7, 5, 5)) for r in (1, robot_id)}
+        kernel = ProfileState.utilities_over_actions
+
+        def shifted(state, rid):
+            utilities = kernel(state, rid)
+            if (rid, tuple(state.action_ids)) in breaks:
+                utilities[-1] += 1
+            return utilities
+
+        monkeypatch.setattr(ProfileState, "utilities_over_actions", shifted)
+        for epsilon in (0.5, 0.05):
+            with pytest.raises(
+                ConvergenceError,
+                match=rf"^robot {robot_id} at plan \(3, 4, 2\): .* not constant",
+            ):
+                lll_stationary_distribution(game, epsilon)
 
     @pytest.mark.parametrize("epsilon", [0, -0.2])
     @pytest.mark.parametrize(

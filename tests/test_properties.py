@@ -91,6 +91,16 @@ def test_kernel_matches_the_oracle_on_a_warm_value_memo(seed):
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(seed=seeds)
+def test_value_tensor_matches_the_oracle_with_overlaps_and_tables(seed):
+    rng, game = _overlap_and_table_game(seed)
+    values = profile_values(game)
+    for _ in range(4):
+        plan = game.random_plan(rng)
+        assert values[plan.action_ids] == global_value(game, plan)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=seeds)
 def test_contributions_are_counter_differences_with_overlaps(seed):
     rng, game = _overlap_and_table_game(seed)
     assume(game.mode == EXTENDED)

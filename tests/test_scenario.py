@@ -238,6 +238,36 @@ class TestDiagnostics:
         with pytest.raises(ValidationError, match=r"value.scale"):
             parse_object(obj)
 
+    @pytest.mark.parametrize(
+        "value, field",
+        [
+            (
+                {"kind": "simple", "max_value": 1, "threshold": 0.5, "entries": "x"},
+                "threshold",
+            ),
+            (
+                {"kind": "threshold_sum", "max_value": 1, "threshold": 1,
+                 "entries": "x"},
+                "entries",
+            ),
+            (
+                {"kind": "table", "max_value": 1, "entries": [[[0, 0, 0], 0]],
+                 "default": 1, "heavy": 2},
+                "heavy",
+            ),
+        ],
+        ids=["simple+threshold", "threshold_sum+entries", "table+heavy"],
+    )
+    def test_a_value_field_the_kind_does_not_take_is_rejected(self, value, field):
+        obj = minimal_object()
+        obj["tasks"][0]["value"] = value
+        kind = value["kind"]
+        with pytest.raises(
+            ValidationError,
+            match=rf"^tasks\[0\]\.value\.{field}: not used by a {kind} value$",
+        ):
+            parse_object(obj)
+
     def test_threshold_kind_requires_threshold(self):
         obj = minimal_object()
         obj["tasks"][0]["value"] = {"kind": "threshold_sum", "max_value": 2}
@@ -549,11 +579,8 @@ class TestEpisodeSuites:
 
     @pytest.mark.parametrize(
         "tasks, robots, rule",
-        [
-            ([1, 1], [1], "tasks: duplicate ids 1"),
-            ([1], [5], r"robots\[0\]: station number 5 outside 1\.\.1"),
-        ],
-        ids=["duplicate id", "bad station"],
+        [([1, 1], [1], "tasks: duplicate ids 1")],
+        ids=["duplicate id"],
     )
     def test_an_episode_breaking_a_rule_is_named(self, tmp_path, tasks, robots, rule):
         path = self.write_suite(
@@ -562,6 +589,24 @@ class TestEpisodeSuites:
         with pytest.raises(
             ValidationError, match=r"suite\.json: episodes\[0\]: " + rule
         ):
+            load_episodes(path)
+
+    @pytest.mark.parametrize(
+        "field, rule",
+        [
+            ({"robots": [5]}, r"robots\[0\]: station number 5 outside 1\.\.1"),
+            ({"horizon": 2.5}, "horizon: must be an integer"),
+        ],
+        ids=["bad station", "fractional horizon"],
+    )
+    @pytest.mark.parametrize("n_episodes", [2, 0], ids=["two episodes", "no episodes"])
+    def test_a_suite_field_breaking_a_rule_is_named(
+        self, tmp_path, field, rule, n_episodes
+    ):
+        # checked once, before the episodes: with none, or with several
+        episodes = [{"name": f"e{k}", "tasks": [1]} for k in range(n_episodes)]
+        path = self.write_suite(tmp_path, episodes, **field)
+        with pytest.raises(ValidationError, match=r"suite\.json: episodes\." + rule):
             load_episodes(path)
 
     def test_defaults_must_be_an_object(self, tmp_path):

@@ -16,7 +16,8 @@ pair to pair over the whole recording.
 The file keeps every run's end-to-end metrics and output digest, the exact
 work counters per pass of each run, and per metric each side's quartiles,
 the ratio of the medians and how many pairs the change won (ties win for
-neither). ``--traced`` adds one ``--trace 1`` run per side. The file is
+neither). Each workload's summary leads with how many pairs had equal output
+digests and which exact counters differ per pass between the sides. ``--traced`` adds one ``--trace 1`` run per side. The file is
 rewritten after every pair, so an interrupted recording keeps what it ran.
 """
 
@@ -133,6 +134,23 @@ def summarize(runs, metrics):
     return summary
 
 
+def agreement(entry):
+    """How far the two sides computed the same thing.
+
+    ``digests_equal`` counts the pairs whose output digests match, and
+    ``exact_counters_differ`` names the exact counters whose per-pass value
+    differs between the sides in any pair.
+    """
+    runs = entry["runs"]
+    equal = sum(r["parent"]["output_digest"] == r["change"]["output_digest"] for r in runs)
+    differ = set()
+    for pair in entry["exact_counters_per_pass"].values():
+        parent, change = ((pair[side] or {}).get("counters", {}) for side in SIDES)
+        differ.update(k for k in parent.keys() | change.keys()
+                      if parent.get(k) != change.get(k))
+    return {"digests_equal": f"{equal}/{len(runs)}", "exact_counters_differ": sorted(differ)}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git ref of the parent commit")
@@ -185,7 +203,8 @@ def record(args, spec, trees):
                       flush=True)
             entry["runs"].append({"seed": seed, "first": order[0], **{s: rows[s] for s in SIDES}})
             entry["exact_counters_per_pass"][f"seed{seed}"] = counters
-            entry["summary"] = summarize(entry["runs"], spec["end_to_end"])
+            entry["summary"] = {**agreement(entry),
+                                **summarize(entry["runs"], spec["end_to_end"])}
             save()
     for workload, seeds in args.traced:
         for seed in seeds:
