@@ -45,7 +45,6 @@ import json
 from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import resources
-from itertools import chain
 from pathlib import Path
 
 from .errors import DomainError, ValidationError
@@ -134,7 +133,7 @@ _VALUE_FIELDS = {
     "sequential_heavy_light": ("heavy", "follow"),
     "table": ("entries", "default"),
 }
-_VALUE_KEYS = {"kind", "max_value", *chain(*_VALUE_FIELDS.values())}
+_VALUE_KEYS = {"kind", "max_value"}.union(*_VALUE_FIELDS.values())
 
 
 def _parse_value(obj, where):
