@@ -579,16 +579,18 @@ class TestEpisodeSuites:
 
     @pytest.mark.parametrize(
         "tasks, robots, rule",
-        [([1, 1], [1], "tasks: duplicate ids 1")],
-        ids=["duplicate id"],
+        [
+            ([1, 1], [1], r"\[0\]: tasks: duplicate ids 1"),
+            # the suite's robots are checked before its episodes
+            ([1], [5], r"\.robots\[0\]: station number 5 outside 1\.\.1"),
+        ],
+        ids=["duplicate id", "bad station"],
     )
     def test_an_episode_breaking_a_rule_is_named(self, tmp_path, tasks, robots, rule):
         path = self.write_suite(
             tmp_path, [{"name": "one", "tasks": tasks}], robots=robots
         )
-        with pytest.raises(
-            ValidationError, match=r"suite\.json: episodes\[0\]: " + rule
-        ):
+        with pytest.raises(ValidationError, match=r"suite\.json: episodes" + rule):
             load_episodes(path)
 
     @pytest.mark.parametrize(
