@@ -40,6 +40,8 @@ from .learning import (
 )
 
 DEFAULT_PROFILE_BUDGET = 200_000
+# the log-linear chain functions walk every profile with the kernel
+CHAIN_PROFILE_BUDGET = 10_000
 INFINITE_POA = math.inf
 
 
@@ -80,41 +82,26 @@ def _walk_profiles(game, shape):
         state.switch(i + 1, ids[i])
 
 
-def _station_axes(game, number):
-    """Per task: the distinct offset tuples a station's actions add to it,
-    and each action's index into them.
-
-    ``()`` stands for adding nothing, which most actions do. A task that all
-    actions add the same tuple to gets a one-entry index array, which
-    broadcasts.
-    """
-    pieces = [{} for _ in game.tasks]
-    codes = [[] for _ in game.tasks]
-    for contrib in game._station_contribs[number]:
-        served = dict(contrib)
-        for j, (index, row) in enumerate(zip(pieces, codes)):
-            row.append(index.setdefault(served.get(j, ()), len(index)))
-    return [
-        (tuple(index), np.array(row if len(index) > 1 else row[:1], dtype=np.intp))
-        for index, row in zip(pieces, codes)
-    ]
-
-
 def profile_values(game, budget=DEFAULT_PROFILE_BUDGET):
     """Global value of every joint plan, as an integer array over action ids.
 
     Axis ``i`` indexes robot ``i + 1``'s actions; entries are exact. No plan
     is visited: for each task, every combination of the robots' distinct
-    offset tuples (``_station_axes``) is summed into a counter and valued
-    once, each distinct counter by one ``ValueFunction.evaluate`` call, and
-    the task's table of values is added to the array through ``np.ix_``.
-    The ``max_value`` sum is below 2**63, so the int64 sums cannot wrap.
+    offset tuples (``GameInstance._station_table``) is summed into a counter
+    and valued once, each distinct counter by one ``ValueFunction.evaluate``
+    call, and the task's table of values is added to the array through
+    ``np.ix_``, a one-tuple axis by a one-entry index that broadcasts. The
+    ``max_value`` sum is below 2**63, so the int64 sums cannot wrap.
     """
     shape, _ = _profile_shape(game, budget)
-    axes = {number: _station_axes(game, number) for number in set(game.robot_stations)}
+    tables = [game._station_table(number) for number in game.robot_stations]
     values = np.zeros(shape, dtype=np.int64)
     for j, task in enumerate(game.tasks):
-        pieces, codes = zip(*(axes[number][j] for number in game.robot_stations))
+        pieces, codes = [], []
+        for groups, starts, station_codes in tables:
+            pieces.append(groups[j])
+            row = station_codes[j] if len(groups[j]) > 1 else station_codes[j, :1]
+            codes.append(row - starts[j])
         memo = {}
         table = []
         for combo in product(*pieces):
@@ -277,7 +264,7 @@ def check_poa_bound(game, report):
     return report.poa <= bound
 
 
-def lll_transition_matrix(game, epsilon, budget=10_000):
+def lll_transition_matrix(game, epsilon, budget=CHAIN_PROFILE_BUDGET):
     """The exact one-round log-linear chain over joint plans.
 
     Row ``s``: pick each robot with probability 1/n, then move it to each
@@ -309,7 +296,7 @@ def lll_transition_matrix(game, epsilon, budget=10_000):
     )
 
 
-def lll_stationary_distribution(game, epsilon, budget=10_000):
+def lll_stationary_distribution(game, epsilon, budget=CHAIN_PROFILE_BUDGET):
     """Exact stationary distribution of the log-linear chain.
 
     The global value is an exact potential of the marginal-contribution
@@ -354,7 +341,7 @@ def lll_stationary_distribution(game, epsilon, budget=10_000):
     return _softmax(values.ravel(), epsilon)
 
 
-def empirical_occupancy(game, epsilon, rounds, seed, budget=10_000):
+def empirical_occupancy(game, epsilon, rounds, seed, budget=CHAIN_PROFILE_BUDGET):
     """Occupancy frequencies of one long log-linear run, per joint plan.
 
     Replays the seeded run and counts the plan after each round (the

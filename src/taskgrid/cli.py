@@ -202,7 +202,7 @@ def cmd_analyze(args):
             f"values {sorted(eq.values)}, price of anarchy {eq.poa}"
         )
     if args.stationary:
-        stationary_budget = min(budget, 10_000)
+        stationary_budget = _resolve_budget(args, analysis.CHAIN_PROFILE_BUDGET)
         pi = analysis.lll_stationary_distribution(
             game, args.epsilon, budget=stationary_budget
         )
@@ -222,6 +222,14 @@ def cmd_analyze(args):
     return 0
 
 
+# a batch job's fields are plan's options; its paths are relative to the manifest
+_JOB_FIELDS = (
+    "scenario", "episode", "algorithm", "rounds", "epsilon", "seed", "runs",
+    "out", "trace_dir", "json",
+)
+_JOB_PATHS = ("scenario", "out", "trace_dir", "json")
+
+
 def cmd_batch(args):
     try:
         manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
@@ -238,23 +246,19 @@ def cmd_batch(args):
         try:
             if not isinstance(job, dict):
                 raise ValidationError(f"{where}: expected an object")
-            ns = argparse.Namespace(
-                scenario=base / job["scenario"],
-                episode=job.get("episode"),
-                algorithm=job.get("algorithm"),
-                rounds=job.get("rounds"),
-                epsilon=job.get("epsilon"),
-                seed=job.get("seed"),
-                runs=job.get("runs"),
-                out=base / job["out"] if "out" in job else None,
-                trace_dir=base / job["trace_dir"] if "trace_dir" in job else None,
-                json=base / job["json"] if "json" in job else None,
-            )
-            cmd_plan(ns)
-        except (TaskgridError, KeyError) as exc:
+            scenario._only(job, _JOB_FIELDS, where)
+            if "scenario" not in job:
+                raise ValidationError("missing field 'scenario'")
+            fields = {key: job.get(key) for key in _JOB_FIELDS}
+            for key in _JOB_PATHS:
+                if key in job:
+                    if not isinstance(job[key], str):
+                        raise ValidationError(f"{where}.{key}: expected a string")
+                    fields[key] = base / job[key]
+            cmd_plan(argparse.Namespace(**fields))
+        except TaskgridError as exc:
             failures += 1
-            detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
-            print(f"{where}: FAILED: {detail}", file=sys.stderr)
+            print(f"{where}: FAILED: {exc}", file=sys.stderr)
     if failures:
         print(f"{failures} of {len(manifest['jobs'])} jobs failed", file=sys.stderr)
         return 1

@@ -17,12 +17,12 @@ against them.
 The engine reads task values through one memo per task of the profile
 state, a dict from counter tuple to value, filled on first use by
 ``ValueFunction.evaluate`` and dropped with the state; the oracles call
-``evaluate`` directly and never read it. Its utility kernel splits each station's action contributions into
-distinct ``(task, offsets)`` pieces: a call prices each piece once, as the
-value gain of adding those offsets to the counters without the robot, and
-sums the gains of every action with one product by a 0/1 action-by-piece
-incidence matrix. Gains are non-negative (values are monotone) and the
-``max_value`` sum is below 2**63, so the int64 product is exact.
+``evaluate`` directly and never read it. The kernel reads the station's
+table of the distinct offset tuples its actions add to each task: a call
+prices each tuple once, as the value gain of adding it to the counters
+without the robot, and sums each action's gains with one gather over the
+tasks. Gains are non-negative (values are monotone) and the ``max_value``
+sum is below 2**63, so the int64 sums are exact.
 """
 
 from dataclasses import dataclass
@@ -174,8 +174,8 @@ class GameInstance:
         self.mode = mode
 
         self._task_index = {task.id: i for i, task in enumerate(self.tasks)}
-        # per station: (pieces, incidence), built on its first kernel call
-        self._pieces = {}
+        # per station: (groups, starts, codes), built on its first use
+        self._tables = {}
         index = actions_mod._service_index(horizon, self.tasks)
         # action sets depend only on the station, so co-stationed robots share
         self.station_action_sets = {}
@@ -245,23 +245,29 @@ class GameInstance:
         number = self.robot_stations[self.robot_index(robot_id)]
         return self._station_contribs[number][action_id]
 
-    def _station_pieces(self, number):
-        """Distinct ``(task index, offsets)`` pieces of a station's actions.
+    def _station_table(self, number):
+        """Per task, the distinct offset tuples a station's actions add to it.
 
-        Returns the pieces and the int64 0/1 incidence matrix whose entry
-        ``[a, p]`` says whether action ``a`` contributes piece ``p``.
+        Returns ``(groups, starts, codes)``: ``groups[j]`` holds task ``j``'s
+        tuples in first-appearance order (``()`` adds nothing) at the flat
+        indices ``starts[j]`` to ``starts[j + 1] - 1``, and the intp array
+        ``codes[j, a]``, of shape (tasks, actions), is the flat index of the
+        tuple action ``a`` adds to task ``j``. Built on first use.
         """
-        cached = self._pieces.get(number)
+        cached = self._tables.get(number)
         if cached is None:
-            contribs = self._station_contribs[number]
-            index = {}
-            for contrib in contribs:
-                for piece in contrib:
-                    index.setdefault(piece, len(index))
-            incidence = np.zeros((len(contribs), len(index)), dtype=np.int64)
-            for a, contrib in enumerate(contribs):
-                incidence[a, [index[piece] for piece in contrib]] = 1
-            cached = self._pieces[number] = (tuple(index), incidence)
+            served = [dict(contrib) for contrib in self._station_contribs[number]]
+            groups, starts, codes = [], [0], []
+            for j in range(len(self.tasks)):
+                index = {}
+                codes.append([
+                    starts[j] + index.setdefault(s.get(j, ()), len(index))
+                    for s in served
+                ])
+                groups.append(tuple(index))
+                starts.append(starts[j] + len(index))
+            codes = np.array(codes, dtype=np.intp).reshape(len(groups), len(served))
+            cached = self._tables[number] = (tuple(groups), tuple(starts), codes)
         return cached
 
     def _contributions(self, stays):
@@ -423,10 +429,10 @@ class ProfileState:
     utilities of every action of one robot against the fixed rest of the
     plan, and switch one robot's action. Values are read through the state's
     per-task memo, so each distinct counter of a task is evaluated once per
-    state; the memo lives and dies with the state. The kernel prices each piece of the robot's station once against
-    the counters without the robot and sums the gains of every action with
-    the station's incidence matrix. Values are Python ints and the int64
-    sums cannot wrap, so equalities are exact.
+    state; the memo lives and dies with the state. The kernel prices each
+    tuple of the station's table once and sums each action's gains over the
+    tasks. Values are Python ints and the int64 sums cannot wrap, so
+    equalities are exact.
     """
 
     def __init__(self, game, plan):
@@ -473,17 +479,19 @@ class ProfileState:
         base = list(self.values)
         for j, _ in cur_contribs:
             base[j] = self._value(j, self.counters[j])
-        pieces, incidence = game._station_pieces(number)
+        groups, _, codes = game._station_table(number)
         gains = []
-        for j, offsets in pieces:
+        for j, group in enumerate(groups):
             row = self.counters[j]
-            for o in offsets:
-                row[o] += 1
-            gains.append(self._value(j, row) - base[j])
-            for o in offsets:
-                row[o] -= 1
+            for offsets in group:
+                for o in offsets:
+                    row[o] += 1
+                # adding nothing gains nothing, without a memo read
+                gains.append(self._value(j, row) - base[j] if offsets else 0)
+                for o in offsets:
+                    row[o] -= 1
         self._apply(cur_contribs, +1)
-        return (incidence @ np.array(gains, dtype=np.int64)).tolist()
+        return np.array(gains, dtype=np.int64)[codes].sum(axis=0).tolist()
 
     def switch(self, robot_id, action_id):
         """Set one robot's action, updating counters and total incrementally."""

@@ -51,7 +51,7 @@ from .errors import DomainError, ValidationError
 from .game import GameInstance, _check_frame, _check_setup, _check_tasks
 from .grid import Grid
 from .learning import _INPUT_RULES, _check_input
-from .tasks import Task, ValueFunction
+from .tasks import VALUE_FIELDS, Task, ValueFunction
 
 
 @dataclass(frozen=True)
@@ -124,25 +124,16 @@ def _within(prefix):
         raise ValidationError(f"{prefix}{exc}") from None
 
 
-# value kind -> the fields it takes besides kind and max_value, all of them
-# required but a table's default
-_VALUE_FIELDS = {
-    "simple": (),
-    "threshold_max": ("threshold",),
-    "threshold_sum": ("threshold",),
-    "sequential_heavy_light": ("heavy", "follow"),
-    "table": ("entries", "default"),
-}
-_VALUE_KEYS = {"kind", "max_value"}.union(*_VALUE_FIELDS.values())
+_VALUE_KEYS = {"kind", "max_value"}.union(*VALUE_FIELDS.values())
 
 
 def _parse_value(obj, where):
     kind = _need(obj, "kind", where, str)
     _only(obj, _VALUE_KEYS, where)
     # an unknown kind takes no more fields; ValueFunction rejects it
-    takes = ("max_value",) + _VALUE_FIELDS.get(kind, ())
+    takes = ("max_value",) + VALUE_FIELDS.get(kind, ())
     for key in obj:
-        if kind in _VALUE_FIELDS and key not in ("kind", *takes):
+        if kind in VALUE_FIELDS and key not in ("kind", *takes):
             raise ValidationError(f"{where}.{key}: not used by a {kind} value")
     fields = {
         key: obj.get(key) if key == "default" else _need(obj, key, where)
@@ -219,15 +210,12 @@ def _learning_defaults(obj, where):
 
 def _value_to_object(vf):
     out = {"kind": vf.kind, "max_value": vf.max_value}
-    if vf.kind in ("threshold_max", "threshold_sum"):
-        out["threshold"] = vf.threshold
-    elif vf.kind == "sequential_heavy_light":
-        out["heavy"] = vf.heavy
-        out["follow"] = vf.follow
-    elif vf.kind == "table":
-        out["entries"] = [[list(c), v] for c, v in vf.entries]
-        if vf.default is not None:
-            out["default"] = vf.default
+    for key in VALUE_FIELDS[vf.kind]:
+        value = getattr(vf, key)
+        if key == "entries":
+            value = [[list(c), v] for c, v in value]
+        if value is not None:  # a table without a default
+            out[key] = value
     return out
 
 

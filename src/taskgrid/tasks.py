@@ -6,19 +6,22 @@ served the location at each window step) to an integer between 0 and a cap.
 Every built-in variant is monotone: adding robots never lowers the value.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import product
 
 from .errors import BudgetExceededError, DomainError, ValidationError
 from .grid import _as_cell, _as_integer, _as_integers
 
-VALUE_KINDS = (
-    "simple",
-    "threshold_max",
-    "threshold_sum",
-    "sequential_heavy_light",
-    "table",
-)
+# value kind -> the fields it takes besides kind and max_value, all of them
+# required but a table's default; every other field stays at its default
+VALUE_FIELDS = {
+    "simple": (),
+    "threshold_max": ("threshold",),
+    "threshold_sum": ("threshold",),
+    "sequential_heavy_light": ("heavy", "follow"),
+    "table": ("entries", "default"),
+}
+VALUE_KINDS = tuple(VALUE_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -43,6 +46,9 @@ class ValueFunction:
     default
         For ``table``: value used for counters absent from ``entries``.
         When None, lookups outside the table are a domain error.
+
+    A field that the kind does not take (``VALUE_FIELDS``) must stay at its
+    default, so equal values have equal fields.
     """
 
     kind: str
@@ -57,6 +63,12 @@ class ValueFunction:
         # messages start with the field path within the value function
         if self.kind not in VALUE_KINDS:
             raise ValidationError(f"kind: unknown value kind {self.kind!r}")
+        for field in fields(self)[2:]:  # the fields after kind and max_value
+            value, default = getattr(self, field.name), field.default
+            # a numpy integer equal to an int default counts as the default
+            unset = value is None if default is None else _as_integer(value) == default
+            if field.name not in VALUE_FIELDS[self.kind] and not unset:
+                raise ValidationError(f"{field.name}: not used by a {self.kind} value")
         for name in ("max_value", "threshold", "heavy", "follow"):
             value = _as_integer(getattr(self, name))
             if value is None:

@@ -2,7 +2,13 @@ import json
 
 import pytest
 
-from taskgrid import __version__, fixture_path, lll_stationary_distribution
+from taskgrid import (
+    __version__,
+    analysis,
+    fixture_path,
+    lll_stationary_distribution,
+)
+from taskgrid.analysis import CHAIN_PROFILE_BUDGET
 from taskgrid.cli import BUDGET_ENV, main
 
 
@@ -333,6 +339,34 @@ class TestAnalyze:
         assert BUDGET_ENV in err
 
     @pytest.mark.parametrize(
+        "flag, env, budget",
+        [
+            (None, None, CHAIN_PROFILE_BUDGET),
+            ("50000", None, 50_000),
+            (None, "30000", 30_000),
+        ],
+    )
+    def test_the_stationary_law_takes_the_budget_override(
+        self, capsys, monkeypatch, flag, env, budget
+    ):
+        # the chain default applies only when neither override is given;
+        # every profile count is checked against its budget in _profile_shape
+        seen = []
+        shape_of = analysis._profile_shape
+
+        def spy(game, budget):
+            seen.append(budget)
+            return shape_of(game, budget)
+
+        monkeypatch.setattr(analysis, "_profile_shape", spy)
+        if env is not None:
+            monkeypatch.setenv(BUDGET_ENV, env)
+        argv = ["analyze", example("example_3.json"), "--stationary"]
+        code, _, _ = run_cli(capsys, *argv, *(["--budget", flag] if flag else []))
+        assert code == 0
+        assert seen and set(seen) == {budget}
+
+    @pytest.mark.parametrize(
         "flag, env, name",
         [("0", None, "--budget"), (None, "-5", BUDGET_ENV), ("-1", "9", "--budget")],
     )
@@ -415,6 +449,32 @@ class TestBatch:
         assert code == 1
         assert "jobs[0]: FAILED" in err and "cannot read" in err
         assert (tmp_path / "ok.csv").exists()
+
+    @pytest.mark.parametrize("field", ["scenario", "out", "trace_dir", "json"])
+    def test_a_job_path_that_is_not_a_string_fails_the_job(
+        self, capsys, tmp_path, field
+    ):
+        job = {"scenario": example("example_3.json"), "algorithm": "br", "rounds": 3}
+        path = self.manifest(tmp_path, [{**job, field: 5}, {**job, "out": "ok.csv"}])
+        code, _, err = run_cli(capsys, "batch", str(path))
+        assert code == 1
+        assert f"jobs[0]: FAILED: jobs[0].{field}: expected a string" in err
+        assert "1 of 2 jobs failed" in err
+        assert (tmp_path / "ok.csv").exists()
+
+    def test_an_unknown_job_field_fails_the_job(self, capsys, tmp_path):
+        job = {
+            "scenario": example("example_3.json"),
+            "algorithm": "br",
+            "rounds": 3,
+            "out": "a.csv",
+            "round": 7,
+        }
+        code, out, err = run_cli(capsys, "batch", str(self.manifest(tmp_path, [job])))
+        assert code == 1
+        assert out == ""
+        assert "jobs[0]: FAILED: jobs[0].round: unknown field" in err
+        assert not (tmp_path / "a.csv").exists()
 
     def test_missing_manifest_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "batch", str(tmp_path / "absent.json"))

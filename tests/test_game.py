@@ -15,11 +15,13 @@ from taskgrid import (
     Task,
     ValidationError,
     ValueFunction,
+    build_game,
     counters,
     global_value,
     is_nash,
     local_robots,
     local_tasks,
+    profile_values,
     utility,
     verify_potential_identity,
 )
@@ -330,6 +332,27 @@ class TestKernelExactness:
         ProfileState(game, plan).utilities_over_actions(1)
         # a fresh state holds only the values of its own plan's counters
         assert [len(memo) for memo in ProfileState(game, plan)._memo] == [1, 1, 1]
+
+
+class TestStationTable:
+    def test_a_game_without_tasks_has_zero_utilities_and_values(self):
+        game = GameInstance(Grid(3, 3, stations=[(1, 1)]), 3, [1, 1], [])
+        state = ProfileState(game, JointPlan((0, 0)))
+        for robot_id in game.robot_ids:
+            assert state.utilities_over_actions(robot_id) == [0] * game.n_actions(
+                robot_id
+            )
+        values = profile_values(game)
+        assert values.shape == game.action_set_sizes()
+        assert not values.any()
+
+    def test_built_on_first_use_and_shared_with_the_analysis(self, scenarios):
+        game = build_game(scenarios["example_3.json"])
+        assert game._tables == {}
+        ProfileState(game, JointPlan((0,) * game.n_robots)).utilities_over_actions(1)
+        table = game._tables[game.robot_stations[0]]
+        profile_values(game)
+        assert game._station_table(game.robot_stations[0]) is table
 
 
 class TestLocality:

@@ -107,6 +107,27 @@ def test_contributions_are_counter_differences_with_overlaps(seed):
     assert_contributions_are_counter_differences(game, rng)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=seeds)
+def test_station_table_decodes_to_the_contributions(seed):
+    # plain and extended draws alike: decoding each action's code for each
+    # task gives back the offsets contributions_of lists for it, or ()
+    _, game = _overlap_and_table_game(seed)
+    for robot_id, number in zip(game.robot_ids, game.robot_stations):
+        groups, starts, codes = game._station_table(number)
+        assert codes.shape == (len(game.tasks), game.n_actions(robot_id))
+        pieces = [offsets for group in groups for offsets in group]
+        for j, group in enumerate(groups):
+            assert len(set(group)) == len(group)
+            assert pieces[starts[j] : starts[j + 1]] == list(group)
+        for action_id in range(game.n_actions(robot_id)):
+            served = dict(game.contributions_of(robot_id, action_id))
+            for j in range(len(game.tasks)):
+                code = codes[j, action_id]
+                assert starts[j] <= code < starts[j + 1]
+                assert pieces[code] == served.get(j, ())
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(seed=seeds)
 def test_action_sets_match_the_enumerated_trajectories(seed):

@@ -73,6 +73,23 @@ class TestRoundTrip:
         assert serialize_scenario(again) == text
         assert scenario_digest(again) == scenario_digest(scenario)
 
+    def test_a_directly_built_value_of_each_kind_round_trips(self):
+        base = parse_object(minimal_object())
+        for value in (
+            ValueFunction("simple", 3),
+            ValueFunction("threshold_max", 3, threshold=2),
+            ValueFunction("threshold_sum", 3, threshold=4),
+            ValueFunction("sequential_heavy_light", 3, heavy=2, follow=1),
+            ValueFunction("table", 3, entries=(((0, 0, 0), 0),), default=3),
+            ValueFunction("table", 1, entries=[((a, b, c), int(a + b + c > 0))
+                                               for a in (0, 1) for b in (0, 1)
+                                               for c in (0, 1)]),
+        ):
+            scenario = dataclasses.replace(
+                base, tasks=(dataclasses.replace(base.tasks[0], value=value),)
+            )
+            assert parse_scenario(serialize_scenario(scenario)) == scenario
+
     def test_serialization_is_canonical(self):
         obj = minimal_object()
         a = parse_object(obj)
@@ -462,6 +479,12 @@ CONSTRUCTOR_RULE_CASES = {
         "tasks[0].value",
         lambda: ValueFunction.threshold_sum(1, 0),
         "threshold: must be at least 1",
+    ),
+    "field the kind does not take": (
+        _value(kind="simple", max_value=1, threshold=2),
+        "tasks[0].value",
+        lambda: ValueFunction("simple", 1, threshold=2),
+        "threshold: not used by a simple value",
     ),
     "fractional table value": (
         _value(kind="table", max_value=2, entries=[[[0, 0, 0], 0], [[1, 0, 0], 1.5]]),

@@ -13,7 +13,7 @@ from taskgrid import (
     evaluate_value,
     validate_monotonicity,
 )
-from taskgrid.tasks import _table_is_monotone
+from taskgrid.tasks import VALUE_FIELDS, VALUE_KINDS, _table_is_monotone
 
 
 class TestSimple:
@@ -136,6 +136,36 @@ class TestTable:
             ValidationError, match=r"^entries\[0\]: expected a \(counter, value\) pair"
         ):
             ValueFunction("table", 1, entries=entries, default=0)
+
+
+class TestFieldsByKind:
+    def test_the_kinds_are_the_keys_of_the_field_table(self):
+        assert VALUE_KINDS == tuple(VALUE_FIELDS)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"kind": "simple", "threshold": 2},
+            {"kind": "simple", "heavy": -3},
+            {"kind": "threshold_max", "threshold": 2, "entries": (((0,), 1),)},
+            {"kind": "threshold_sum", "threshold": 2, "follow": 1},
+            {"kind": "sequential_heavy_light", "heavy": 1, "follow": 1, "threshold": 0},
+            {"kind": "table", "entries": (((0,), 1),), "default": 0, "threshold": 2},
+        ],
+        ids=lambda fields: f"{fields['kind']}+{list(fields)[-1]}",
+    )
+    def test_a_field_the_kind_does_not_take_is_rejected(self, fields):
+        kind, field = fields["kind"], list(fields)[-1]
+        with pytest.raises(
+            ValidationError, match=rf"^{field}: not used by a {kind} value$"
+        ):
+            ValueFunction(max_value=5, **fields)
+
+    def test_a_field_at_its_default_is_accepted(self):
+        # numpy integers equal to the default count as the default
+        vf = ValueFunction("simple", 5, threshold=np.int64(1), heavy=0, default=None)
+        assert vf == ValueFunction.simple(5)
+        assert type(vf.threshold) is int
 
 
 class TestEvaluationDomain:
