@@ -87,21 +87,26 @@ def profile_values(game, budget=DEFAULT_PROFILE_BUDGET):
 
     Axis ``i`` indexes robot ``i + 1``'s actions; entries are exact. No plan
     is visited: for each task, every combination of the robots' distinct
-    offset tuples (``GameInstance._station_table``) is summed into a counter
-    and valued once, each distinct counter by one ``ValueFunction.evaluate``
-    call, and the task's table of values is added to the array through
-    ``np.ix_``, a one-tuple axis by a one-entry index that broadcasts. The
-    ``max_value`` sum is below 2**63, so the int64 sums cannot wrap.
+    offset tuples (``GameInstance._station_table``, and ``()`` if an action
+    adds nothing) is summed into a counter and valued once, each distinct
+    counter by one ``ValueFunction.evaluate`` call, and the task's table of
+    values is added to the array through ``np.ix_``. The ``max_value`` sum
+    is below 2**63, so the int64 sums cannot wrap.
     """
     shape, _ = _profile_shape(game, budget)
     tables = [game._station_table(number) for number in game.robot_stations]
     values = np.zeros(shape, dtype=np.int64)
     for j, task in enumerate(game.tasks):
         pieces, codes = [], []
-        for groups, starts, station_codes in tables:
-            pieces.append(groups[j])
-            row = station_codes[j] if len(groups[j]) > 1 else station_codes[j, :1]
-            codes.append(row - starts[j])
+        for station_pieces, starts, station_codes in tables:
+            axis = [offsets for _, offsets in station_pieces[starts[j] : starts[j + 1]]]
+            row = station_codes[j]
+            nothing = row < 0
+            if nothing.any():
+                axis.append(())  # read by code -1
+            row = np.where(nothing, -1, row - starts[j])
+            pieces.append(axis)
+            codes.append(row if len(axis) > 1 else row[:1])  # [:1] broadcasts
         memo = {}
         table = []
         for combo in product(*pieces):

@@ -20,8 +20,8 @@ state, a dict from counter tuple to value, filled on first use by
 ``evaluate`` directly and never read it. The kernel reads the station's
 table of the distinct offset tuples its actions add to each task: a call
 prices each tuple once, as the value gain of adding it to the counters
-without the robot, and sums each action's gains with one gather over the
-tasks. Gains are non-negative (values are monotone) and the ``max_value``
+without the robot, and sums each action's gains over the tasks with one
+gather. Gains are non-negative (values are monotone) and the ``max_value``
 sum is below 2**63, so the int64 sums are exact.
 """
 
@@ -174,7 +174,7 @@ class GameInstance:
         self.mode = mode
 
         self._task_index = {task.id: i for i, task in enumerate(self.tasks)}
-        # per station: (groups, starts, codes), built on its first use
+        # per station: (pieces, starts, codes), built on its first use
         self._tables = {}
         index = actions_mod._service_index(horizon, self.tasks)
         # action sets depend only on the station, so co-stationed robots share
@@ -246,28 +246,28 @@ class GameInstance:
         return self._station_contribs[number][action_id]
 
     def _station_table(self, number):
-        """Per task, the distinct offset tuples a station's actions add to it.
+        """The distinct non-empty offset tuples a station's actions add to each task.
 
-        Returns ``(groups, starts, codes)``: ``groups[j]`` holds task ``j``'s
-        tuples in first-appearance order (``()`` adds nothing) at the flat
-        indices ``starts[j]`` to ``starts[j + 1] - 1``, and the intp array
-        ``codes[j, a]``, of shape (tasks, actions), is the flat index of the
-        tuple action ``a`` adds to task ``j``. Built on first use.
+        Returns ``(pieces, starts, codes)``: the ``(task index, offsets)``
+        pairs, task ``j``'s at ``pieces[starts[j]:starts[j + 1]]`` in
+        first-appearance order, and the (tasks, actions) intp array of the
+        index in ``pieces`` of what each action adds to each task, -1 for
+        nothing, which readers map to a zero entry they append.
         """
         cached = self._tables.get(number)
         if cached is None:
             served = [dict(contrib) for contrib in self._station_contribs[number]]
-            groups, starts, codes = [], [0], []
+            pieces, starts, codes = [], [0], []
             for j in range(len(self.tasks)):
                 index = {}
                 codes.append([
-                    starts[j] + index.setdefault(s.get(j, ()), len(index))
+                    index.setdefault(s[j], starts[j] + len(index)) if j in s else -1
                     for s in served
                 ])
-                groups.append(tuple(index))
-                starts.append(starts[j] + len(index))
-            codes = np.array(codes, dtype=np.intp).reshape(len(groups), len(served))
-            cached = self._tables[number] = (tuple(groups), tuple(starts), codes)
+                pieces.extend((j, offsets) for offsets in index)
+                starts.append(len(pieces))
+            codes = np.array(codes, dtype=np.intp).reshape(len(self.tasks), len(served))
+            cached = self._tables[number] = (tuple(pieces), tuple(starts), codes)
         return cached
 
     def _contributions(self, stays):
@@ -479,17 +479,16 @@ class ProfileState:
         base = list(self.values)
         for j, _ in cur_contribs:
             base[j] = self._value(j, self.counters[j])
-        groups, _, codes = game._station_table(number)
+        pieces, _, codes = game._station_table(number)
         gains = []
-        for j, group in enumerate(groups):
+        for j, offsets in pieces:
             row = self.counters[j]
-            for offsets in group:
-                for o in offsets:
-                    row[o] += 1
-                # adding nothing gains nothing, without a memo read
-                gains.append(self._value(j, row) - base[j] if offsets else 0)
-                for o in offsets:
-                    row[o] -= 1
+            for o in offsets:
+                row[o] += 1
+            gains.append(self._value(j, row) - base[j])
+            for o in offsets:
+                row[o] -= 1
+        gains.append(0)  # read by code -1: adding nothing gains nothing
         self._apply(cur_contribs, +1)
         return np.array(gains, dtype=np.int64)[codes].sum(axis=0).tolist()
 

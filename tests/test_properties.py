@@ -114,18 +114,18 @@ def test_station_table_decodes_to_the_contributions(seed):
     # task gives back the offsets contributions_of lists for it, or ()
     _, game = _overlap_and_table_game(seed)
     for robot_id, number in zip(game.robot_ids, game.robot_stations):
-        groups, starts, codes = game._station_table(number)
+        pieces, starts, codes = game._station_table(number)
         assert codes.shape == (len(game.tasks), game.n_actions(robot_id))
-        pieces = [offsets for group in groups for offsets in group]
-        for j, group in enumerate(groups):
-            assert len(set(group)) == len(group)
-            assert pieces[starts[j] : starts[j + 1]] == list(group)
+        assert starts[-1] == len(pieces) == len(set(pieces))
         for action_id in range(game.n_actions(robot_id)):
             served = dict(game.contributions_of(robot_id, action_id))
             for j in range(len(game.tasks)):
                 code = codes[j, action_id]
-                assert starts[j] <= code < starts[j + 1]
-                assert pieces[code] == served.get(j, ())
+                if code < 0:
+                    assert j not in served
+                else:
+                    assert starts[j] <= code < starts[j + 1]
+                    assert pieces[code] == (j, served[j])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
