@@ -100,11 +100,9 @@ def profile_values(game, budget=DEFAULT_PROFILE_BUDGET):
         pieces, codes = [], []
         for station_pieces, starts, station_codes in tables:
             axis = [offsets for _, offsets in station_pieces[starts[j] : starts[j + 1]]]
-            row = station_codes[j]
-            nothing = row < 0
-            if nothing.any():
-                axis.append(())  # read by code -1
-            row = np.where(nothing, -1, row - starts[j])
+            row = np.maximum(station_codes[j] - starts[j], -1)  # -1: adds nothing
+            if row.min() < 0:
+                axis.append(())  # read by index -1
             pieces.append(axis)
             codes.append(row if len(axis) > 1 else row[:1])  # [:1] broadcasts
         memo = {}

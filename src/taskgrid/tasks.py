@@ -65,9 +65,10 @@ class ValueFunction:
             raise ValidationError(f"kind: unknown value kind {self.kind!r}")
         for field in fields(self)[2:]:  # the fields after kind and max_value
             value, default = getattr(self, field.name), field.default
+            if value is default or field.name in VALUE_FIELDS[self.kind]:
+                continue
             # a numpy integer equal to an int default counts as the default
-            unset = value is None if default is None else _as_integer(value) == default
-            if field.name not in VALUE_FIELDS[self.kind] and not unset:
+            if default is None or _as_integer(value) != default:
                 raise ValidationError(f"{field.name}: not used by a {self.kind} value")
         for name in ("max_value", "threshold", "heavy", "follow"):
             value = _as_integer(getattr(self, name))
