@@ -339,9 +339,8 @@ class TestStationTable:
         game = GameInstance(Grid(3, 3, stations=[(1, 1)]), 3, [1, 1], [])
         state = ProfileState(game, JointPlan((0, 0)))
         for robot_id in game.robot_ids:
-            assert state.utilities_over_actions(robot_id) == [0] * game.n_actions(
-                robot_id
-            )
+            zeros = [0] * game.n_actions(robot_id)
+            assert state.utilities_over_actions(robot_id) == zeros
         values = profile_values(game)
         assert values.shape == game.action_set_sizes()
         assert not values.any()

@@ -110,8 +110,8 @@ def test_contributions_are_counter_differences_with_overlaps(seed):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(seed=seeds)
 def test_station_table_decodes_to_the_contributions(seed):
-    # plain and extended draws alike: decoding each action's code for each
-    # task gives back the offsets contributions_of lists for it, or ()
+    # plain and extended draws alike: each action's code for each task
+    # decodes to the offsets contributions_of lists for it, or is -1 if none
     _, game = _overlap_and_table_game(seed)
     for robot_id, number in zip(game.robot_ids, game.robot_stations):
         pieces, starts, codes = game._station_table(number)
