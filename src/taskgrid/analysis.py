@@ -43,6 +43,7 @@ DEFAULT_PROFILE_BUDGET = 200_000
 # the log-linear chain functions walk every profile with the kernel
 CHAIN_PROFILE_BUDGET = 10_000
 INFINITE_POA = math.inf
+_ADDS_NOTHING = np.array([-1], dtype=np.intp)
 
 
 def _product_within(sizes, budget, space):
@@ -87,38 +88,39 @@ def profile_values(game, budget=DEFAULT_PROFILE_BUDGET):
 
     Axis ``i`` indexes robot ``i + 1``'s actions; entries are exact. No plan
     is visited: for each task, every combination of the robots' distinct
-    offset tuples (``GameInstance._station_table``, and ``()`` if an action
-    adds nothing) is summed into a counter and valued once, each distinct
-    counter by one ``ValueFunction.evaluate`` call, and the task's table of
-    values is added to the array through ``np.ix_``. The ``max_value`` sum
-    is below 2**63, so the int64 sums cannot wrap.
+    counter codes (``GameInstance._station_table``, and 0 if an action adds
+    nothing; 0 alone for a task no action of the station serves) is summed
+    into a counter code and valued once, each distinct counter by one
+    ``ValueFunction.evaluate`` call, and the task's table of values is added
+    to the array through ``np.ix_``. The ``max_value`` sum is below 2**63,
+    so the int64 sums cannot wrap.
     """
     shape, _ = _profile_shape(game, budget)
     tables = [game._station_table(number) for number in game.robot_stations]
+    rows = [dict(zip(table.served, table.piece_ids)) for table in tables]
     values = np.zeros(shape, dtype=np.int64)
     for j, task in enumerate(game.tasks):
-        pieces, codes = [], []
-        for station_pieces, starts, station_codes in tables:
-            axis = [offsets for _, offsets in station_pieces[starts[j] : starts[j + 1]]]
-            row = np.maximum(station_codes[j] - starts[j], -1)  # -1: adds nothing
+        axes, ids = [], []
+        for station, station_rows in zip(tables, rows):
+            start, stop = station.starts[j : j + 2]
+            axis = [code for _, code in station.pieces[start:stop]]
+            row = station_rows.get(j)
+            # -1: adds nothing; one -1 broadcasts when no action serves j
+            row = _ADDS_NOTHING if row is None else np.maximum(row - start, -1)
             if row.min() < 0:
-                axis.append(())  # read by index -1
-            pieces.append(axis)
-            codes.append(row if len(axis) > 1 else row[:1])  # [:1] broadcasts
+                axis.append(0)  # read by index -1
+            axes.append(axis)
+            ids.append(row if len(axis) > 1 else row[:1])  # [:1] broadcasts
         memo = {}
         table = []
-        for combo in product(*pieces):
-            counter = [0] * task.window_length
-            for offsets in combo:
-                for o in offsets:
-                    counter[o] += 1
-            key = tuple(counter)
+        for combo in product(*axes):
+            key = sum(combo)
             value = memo.get(key)
             if value is None:
-                value = memo[key] = task.value.evaluate(key)
+                value = memo[key] = task.value.evaluate(game._decode(j, key))
             table.append(value)
-        table = np.array(table, dtype=np.int64).reshape([len(p) for p in pieces])
-        values += table[np.ix_(*codes)]
+        table = np.array(table, dtype=np.int64).reshape([len(a) for a in axes])
+        values += table[np.ix_(*ids)]
     return values
 
 

@@ -50,27 +50,33 @@ def _resolve_budget(args, default):
     return budget
 
 
-def _load_games(path, episode=None):
-    """Yield (label, scenario) pairs for the file at ``path``, honoring ``episode``."""
+def _load_games(path, episode=None, field="--episode"):
+    """Yield (label, scenario) pairs for the file at ``path``, honoring ``episode``.
+
+    An error about the episode names ``field``, where the episode was given.
+    """
     loaded = scenario.load_any(path)
     if not isinstance(loaded, scenario.EpisodeSuite):
         if episode is not None:
-            raise ValidationError(
-                f"{path} is not an episode-suite file; --episode is invalid"
-            )
+            raise ValidationError(f"{field}: {path} is not an episode-suite file")
         yield str(path), loaded
         return
-    chosen = None if episode is None else loaded.get(episode)
+    try:
+        chosen = None if episode is None else loaded.get(episode)
+    except ValidationError as exc:
+        raise ValidationError(f"{field}: {exc}") from None
     for name, sc in loaded.episodes:
         if chosen is None or sc is chosen:
             yield f"{path}:{name}", sc
 
 
 def _single_game(args):
-    pairs = list(_load_games(args.scenario, args.episode))
+    # a batch job names its own episode field
+    field = getattr(args, "episode_field", "--episode")
+    pairs = list(_load_games(args.scenario, args.episode, field))
     if len(pairs) > 1:
         raise ValidationError(
-            f"{args.scenario} holds {len(pairs)} episodes; pick one with --episode"
+            f"{args.scenario} holds {len(pairs)} episodes; pick one with {field}"
         )
     return pairs[0]
 
@@ -228,6 +234,7 @@ _JOB_FIELDS = (
     "out", "trace_dir", "json",
 )
 _JOB_PATHS = ("scenario", "out", "trace_dir", "json")
+_JOB_LEARNING = ("algorithm", "rounds", "epsilon", "seed", "runs")
 
 
 def cmd_batch(args):
@@ -255,7 +262,10 @@ def cmd_batch(args):
                     if not isinstance(job[key], str):
                         raise ValidationError(f"{where}.{key}: expected a string")
                     fields[key] = base / job[key]
-            cmd_plan(argparse.Namespace(**fields))
+            for key in _JOB_LEARNING:
+                if key in job:
+                    learning._check_input(key, job[key], f"{where}.{key}")
+            cmd_plan(argparse.Namespace(**fields, episode_field=f"{where}.episode"))
         except TaskgridError as exc:
             failures += 1
             print(f"{where}: FAILED: {exc}", file=sys.stderr)

@@ -14,18 +14,32 @@ deliberately naive recomputations used as oracles; ``ProfileState`` is the
 incremental engine for learning and enumeration inner loops and is tested
 against them.
 
+The engine holds each task's counter as one Python int, its code: entry
+``o`` of the counter is digit ``o``, ``8 * w`` bits wide, where ``w`` is the
+fewest of 1, 2, 4 or 8 bytes with ``n_robots < 256**w``. No entry exceeds
+``n_robots``, which is below the digit base, so the sum of two codes whose
+counters sum to a counter of at most ``n_robots`` robots never carries from
+one digit into the next: adding or subtracting codes adds or subtracts the
+counters. Every action contribution and table piece has its code, so a
+robot's service is added or removed with one int operation per task. A
+code decodes in one step, ``struct.unpack`` of its little-endian bytes
+(``GameInstance._decode``).
+
 The engine reads task values through one memo per task of the profile
-state, a dict from counter tuple to value, filled on first use by
-``ValueFunction.evaluate`` and dropped with the state; the oracles call
-``evaluate`` directly and never read it. The kernel reads the station's
-table of the distinct offset tuples its actions add to each task: a call
-prices each tuple once, as the value gain of adding it to the counters
-without the robot, and sums each action's gains over the tasks with one
-gather. Gains are non-negative (values are monotone) and the ``max_value``
-sum is below 2**63, so the int64 sums are exact.
+state, a dict from counter code to value, filled on first use by
+``ValueFunction.evaluate`` on the decoded counter and dropped with the
+state; the oracles call ``evaluate`` directly and never read it. The kernel
+reads the station's table of the distinct codes its actions add to each
+task: a call prices each once, as the value gain of adding it to the code
+without the robot, and sums each action's gains over the tasks the station
+serves with one gather. Gains are non-negative (values are monotone) and
+the ``max_value`` sum is below 2**63, so the int64 sums are exact.
 """
 
+import struct
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -127,6 +141,16 @@ def _check_tasks(grid, horizon, cap, tasks):
         raise ValidationError(f"tasks: duplicate ids {', '.join(dupes)}")
 
 
+class StationTable(NamedTuple):
+    """What a station's actions add to the counters (``GameInstance._station_table``)."""
+
+    pieces: tuple
+    starts: tuple
+    served: tuple
+    piece_ids: np.ndarray
+    moves: tuple
+
+
 class GameInstance:
     """An immutable game: grid, horizon, stationed robots, tasks, action sets.
 
@@ -174,7 +198,7 @@ class GameInstance:
         self.mode = mode
 
         self._task_index = {task.id: i for i, task in enumerate(self.tasks)}
-        # per station: (pieces, starts, codes), built on its first use
+        # per station: its StationTable, built on its first use
         self._tables = {}
         index = actions_mod._service_index(horizon, self.tasks)
         # action sets depend only on the station, so co-stationed robots share
@@ -245,29 +269,66 @@ class GameInstance:
         number = self.robot_stations[self.robot_index(robot_id)]
         return self._station_contribs[number][action_id]
 
-    def _station_table(self, number):
-        """The distinct non-empty offset tuples a station's actions add to each task.
+    @cached_property
+    def _digit_bits(self):
+        """Bits per counter-code digit: the fewest of 8, 16, 32, 64 holding n_robots."""
+        return next(b for b in (8, 16, 32, 64) if self.n_robots < 1 << b)
 
-        Returns ``(pieces, starts, codes)``: the ``(task index, offsets)``
+    @cached_property
+    def _codecs(self):
+        """Per task, the little-endian ``struct.Struct`` of its counter codes."""
+        fmt = {8: "B", 16: "H", 32: "I", 64: "Q"}[self._digit_bits]
+        return tuple(struct.Struct(f"<{t.window_length}{fmt}") for t in self.tasks)
+
+    def _encode(self, offsets):
+        """The counter code of one robot serving task steps ``offsets``."""
+        return sum(1 << self._digit_bits * o for o in offsets)
+
+    def _decode(self, j, code):
+        """The counter tuple of task ``j`` that ``code`` encodes."""
+        codec = self._codecs[j]
+        return codec.unpack(code.to_bytes(codec.size, "little"))
+
+    def _station_table(self, number):
+        """The distinct non-empty counter codes a station's actions add to each task.
+
+        Returns a ``StationTable``. ``moves[a]`` holds the ``(task index,
+        code)`` pairs that action ``a`` adds. ``pieces`` holds the distinct
         pairs, task ``j``'s at ``pieces[starts[j]:starts[j + 1]]`` in
-        first-appearance order, and the (tasks, actions) intp array of the
-        index in ``pieces`` of what each action adds to each task, -1 for
-        nothing, which readers map to a zero entry they append.
+        first-appearance order. ``served`` lists, in order, the tasks some
+        action adds to, and row ``r`` of the (served, actions) intp array
+        ``piece_ids`` gives each action's index in ``pieces`` for task
+        ``served[r]``, or -1 if the action adds nothing to it, which readers
+        map to a zero entry they append.
         """
         cached = self._tables.get(number)
         if cached is None:
-            served = [dict(contrib) for contrib in self._station_contribs[number]]
-            pieces, starts, codes = [], [0], []
+            moves = tuple(
+                tuple((j, self._encode(offsets)) for j, offsets in contrib)
+                for contrib in self._station_contribs[number]
+            )
+            adds = [dict(move) for move in moves]
+            pieces, starts, served, piece_ids = [], [0], [], []
             for j in range(len(self.tasks)):
                 index = {}
-                codes.append([
-                    index.setdefault(s[j], starts[j] + len(index)) if j in s else -1
-                    for s in served
-                ])
-                pieces.extend((j, offsets) for offsets in index)
+                row = [
+                    index.setdefault(a[j], starts[j] + len(index)) if j in a else -1
+                    for a in adds
+                ]
+                if index:
+                    served.append(j)
+                    piece_ids.append(row)
+                pieces.extend((j, code) for code in index)
                 starts.append(len(pieces))
-            codes = np.array(codes, dtype=np.intp).reshape(len(self.tasks), len(served))
-            cached = self._tables[number] = (tuple(pieces), tuple(starts), codes)
+            cached = self._tables[number] = StationTable(
+                pieces=tuple(pieces),
+                starts=tuple(starts),
+                served=tuple(served),
+                piece_ids=np.array(piece_ids, dtype=np.intp).reshape(
+                    len(served), len(moves)
+                ),
+                moves=moves,
+            )
         return cached
 
     def _contributions(self, stays):
@@ -427,25 +488,34 @@ class ProfileState:
 
     Supports the two operations the learning loops need: evaluate the
     utilities of every action of one robot against the fixed rest of the
-    plan, and switch one robot's action. Values are read through the state's
-    per-task memo, so each distinct counter of a task is evaluated once per
-    state; the memo lives and dies with the state. The kernel prices each
-    tuple of the station's table once and sums each action's gains over the
-    tasks. Values are Python ints and the int64 sums cannot wrap, so
-    equalities are exact.
+    plan, and switch one robot's action. Each task's counter is held as its
+    code (see the module docstring), so adding or removing a robot's
+    service is one int addition per task. Values are read through the
+    state's per-task memo, keyed by code, so each distinct counter of a
+    task is evaluated once per state; the memo lives and dies with the
+    state. The kernel prices each piece of the station's table once and
+    sums each action's gains over the tasks it serves. Values are Python
+    ints and the int64 sums cannot wrap, so equalities are exact.
     """
 
     def __init__(self, game, plan):
         game.validate_plan(plan)
         self.game = game
         self.action_ids = list(plan.action_ids)
-        self.counters = [[0] * task.window_length for task in game.tasks]
-        # per task: counter tuple -> value, filled on first use
-        self._memo = tuple({} for _ in game.tasks)
+        codes = [0] * len(game.tasks)
         for number, action_id in zip(game.robot_stations, self.action_ids):
-            self._apply(game._station_contribs[number][action_id], +1)
-        self.values = [self._value(j, row) for j, row in enumerate(self.counters)]
+            for j, delta in game._station_table(number).moves[action_id]:
+                codes[j] += delta
+        self._codes = codes
+        # per task: counter code -> value, filled on first use
+        self._memo = tuple({} for _ in game.tasks)
+        self.values = [self._value(j, code) for j, code in enumerate(codes)]
         self.total = sum(self.values)
+
+    @property
+    def counters(self):
+        """Each task's counter, decoded: one list of entries per task."""
+        return [list(self.game._decode(j, code)) for j, code in enumerate(self._codes)]
 
     def plan(self):
         return JointPlan(tuple(self.action_ids))
@@ -453,44 +523,36 @@ class ProfileState:
     def global_value(self):
         return self.total
 
-    def _value(self, j, row):
-        """Value of task ``j`` at counter ``row``, through the task's memo."""
-        key = tuple(row)
+    def _value(self, j, code):
+        """Value of task ``j`` at the counter ``code``, through the task's memo."""
         memo = self._memo[j]
-        value = memo.get(key)
+        value = memo.get(code)
         if value is None:
-            value = memo[key] = self.game.tasks[j].value.evaluate(key)
+            game = self.game
+            value = memo[code] = game.tasks[j].value.evaluate(game._decode(j, code))
         return value
-
-    def _apply(self, contribs, step):
-        for j, offsets in contribs:
-            row = self.counters[j]
-            for o in offsets:
-                row[o] += step
 
     def utilities_over_actions(self, robot_id):
         """Utility of every action of ``robot_id`` given the others' actions."""
         game = self.game
         idx = game.robot_index(robot_id)
-        number = game.robot_stations[idx]
-        cur_contribs = game._station_contribs[number][self.action_ids[idx]]
-        self._apply(cur_contribs, -1)  # counters now exclude this robot
-        # only the tasks the current action serves lost counts
-        base = list(self.values)
-        for j, _ in cur_contribs:
-            base[j] = self._value(j, self.counters[j])
-        pieces, _, codes = game._station_table(number)
+        table = game._station_table(game.robot_stations[idx])
+        # the codes and values without this robot: only the tasks its
+        # current action serves change
+        codes, base = list(self._codes), list(self.values)
+        for j, delta in table.moves[self.action_ids[idx]]:
+            codes[j] -= delta
+            base[j] = self._value(j, codes[j])
+        memo = self._memo
         gains = []
-        for j, offsets in pieces:
-            row = self.counters[j]
-            for o in offsets:
-                row[o] += 1
-            gains.append(self._value(j, row) - base[j])
-            for o in offsets:
-                row[o] -= 1
-        gains.append(0)  # read by code -1: adding nothing gains nothing
-        self._apply(cur_contribs, +1)
-        return np.array(gains, dtype=np.int64)[codes].sum(axis=0).tolist()
+        for j, delta in table.pieces:
+            code = codes[j] + delta
+            value = memo[j].get(code)
+            if value is None:
+                value = self._value(j, code)
+            gains.append(value - base[j])
+        gains.append(0)  # read by piece id -1: adding nothing gains nothing
+        return np.array(gains, dtype=np.int64)[table.piece_ids].sum(axis=0).tolist()
 
     def switch(self, robot_id, action_id):
         """Set one robot's action, updating counters and total incrementally."""
@@ -500,13 +562,14 @@ class ProfileState:
         if action_id == old:
             return
         game._check_action(idx, action_id)
-        contribs = game._station_contribs[game.robot_stations[idx]]
-        old_contribs, new_contribs = contribs[old], contribs[action_id]
-        touched = {j for j, _ in old_contribs} | {j for j, _ in new_contribs}
-        self._apply(old_contribs, -1)
-        self._apply(new_contribs, +1)
-        for j in touched:
-            v = self._value(j, self.counters[j])
+        moves = game._station_table(game.robot_stations[idx]).moves
+        codes = self._codes
+        for j, delta in moves[old]:
+            codes[j] -= delta
+        for j, delta in moves[action_id]:
+            codes[j] += delta
+        for j in {j for j, _ in moves[old]} | {j for j, _ in moves[action_id]}:
+            v = self._value(j, codes[j])
             self.total += v - self.values[j]
             self.values[j] = v
         self.action_ids[idx] = action_id

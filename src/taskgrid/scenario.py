@@ -49,7 +49,7 @@ from pathlib import Path
 
 from .errors import DomainError, ValidationError
 from .game import GameInstance, _check_frame, _check_setup, _check_tasks
-from .grid import Grid
+from .grid import Grid, _as_integer
 from .learning import _INPUT_RULES, _check_input
 from .tasks import VALUE_FIELDS, Task, ValueFunction
 
@@ -83,14 +83,14 @@ class EpisodeSuite:
         return tuple(name for name, _ in self.episodes)
 
     def get(self, key):
-        """Episode by name, or by 1-based index given as int or digits."""
-        for name, scenario in self.episodes:
-            if name == str(key):
-                return scenario
-        try:
-            index = int(key)
-        except (TypeError, ValueError):
-            index = None
+        """Episode by name, or by 1-based index: an integer or a string of digits."""
+        if isinstance(key, str):
+            for name, scenario in self.episodes:
+                if name == key:
+                    return scenario
+            index = int(key) if key.isascii() and key.isdigit() else None
+        else:
+            index = _as_integer(key)
         if index is not None and 1 <= index <= len(self.episodes):
             return self.episodes[index - 1][1]
         raise ValidationError(

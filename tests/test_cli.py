@@ -476,6 +476,56 @@ class TestBatch:
         assert "jobs[0]: FAILED: jobs[0].round: unknown field" in err
         assert not (tmp_path / "a.csv").exists()
 
+    @pytest.mark.parametrize(
+        "field, value, rule",
+        [
+            ("algorithm", 5, "must be 'br' or 'lll'"),
+            ("rounds", "x", "must be an integer of at least 1"),
+            ("epsilon", 0, "must be positive"),
+            ("seed", -1, "must be a non-negative integer"),
+            ("runs", 2.5, "must be an integer of at least 1"),
+        ],
+    )
+    def test_a_bad_learning_option_fails_naming_its_field(
+        self, capsys, tmp_path, field, value, rule
+    ):
+        job = {"scenario": example("example_3.json"), "algorithm": "lll", "rounds": 3}
+        jobs = [{**job, field: value}, {**job, "out": "ok.csv"}]
+        path = self.manifest(tmp_path, jobs)
+        code, _, err = run_cli(capsys, "batch", str(path))
+        assert code == 1
+        assert f"jobs[0]: FAILED: jobs[0].{field} {rule}" in err
+        assert "1 of 2 jobs failed" in err
+        assert (tmp_path / "ok.csv").exists()
+
+    @pytest.mark.parametrize("episode", [True, 2.7, "2.0"], ids=repr)
+    def test_an_episode_that_is_no_name_or_index_fails_the_job(
+        self, capsys, tmp_path, episode
+    ):
+        job = {
+            "scenario": example("experiment_episodes.json"),
+            "episode": episode,
+            "rounds": 3,
+            "out": "a.csv",
+        }
+        code, out, err = run_cli(capsys, "batch", str(self.manifest(tmp_path, [job])))
+        assert code == 1
+        assert out == ""
+        assert f"jobs[0]: FAILED: jobs[0].episode: no episode {episode!r}" in err
+        assert not (tmp_path / "a.csv").exists()
+
+    def test_an_episode_on_a_plain_file_fails_the_job(self, capsys, tmp_path):
+        job = {
+            "scenario": example("example_3.json"),
+            "episode": 1,
+            "algorithm": "br",
+            "rounds": 3,
+        }
+        code, _, err = run_cli(capsys, "batch", str(self.manifest(tmp_path, [job])))
+        assert code == 1
+        assert "jobs[0]: FAILED: jobs[0].episode: " in err
+        assert "is not an episode-suite file" in err
+
     def test_missing_manifest_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "batch", str(tmp_path / "absent.json"))
         assert code == 2

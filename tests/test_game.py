@@ -334,6 +334,34 @@ class TestKernelExactness:
         assert [len(memo) for memo in ProfileState(game, plan)._memo] == [1, 1, 1]
 
 
+    def test_counter_entries_past_one_byte_decode_exactly(self):
+        # 260 robots share one station, so a counter entry passes 255 and a
+        # code digit needs two bytes; the first task completes at 257
+        grid = Grid(2, 1, stations=[(1, 1)])
+        tasks = [
+            Task(1, (1, 1), 0, 3, ValueFunction.threshold_max(7, 257)),
+            Task(2, (2, 1), 1, 3, ValueFunction.threshold_sum(5, 4)),
+        ]
+        game = GameInstance(grid, 3, [1] * 260, tasks)
+        assert [game.contributions_of(1, a) for a in (0, 1)] == [
+            ((0, (0, 1, 2)),),
+            ((1, (0,)),),
+        ]
+        state = ProfileState(game, JointPlan((0,) * 257 + (1,) * 3))
+        assert state.counters == [[257, 257, 257], [3, 0]]
+        assert state.utilities_over_actions(1) == [7, 5]
+        for robot_id, action_id in ((260, 0), (260, 1), (1, 1), (1, 0)):
+            plan = state.plan()
+            assert state.counters == [list(counters(game, plan, t)) for t in tasks]
+            assert max(state.counters[0]) > 255
+            assert state.global_value() == global_value(game, plan)
+            for r in (1, 260):
+                assert state.utilities_over_actions(r) == [
+                    utility(game, plan.replace(r - 1, a), r) for a in (0, 1)
+                ]
+            state.switch(robot_id, action_id)
+
+
 class TestStationTable:
     def test_a_game_without_tasks_has_zero_utilities_and_values(self):
         game = GameInstance(Grid(3, 3, stations=[(1, 1)]), 3, [1, 1], [])

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -273,3 +275,33 @@ class TestBatch:
                 LearningConfig(algorithm="br", rounds=5),
                 0,
             )
+
+    # sha256 of the records and series of 2 runs x 50 rounds; any kernel
+    # change must keep these traces byte-identical
+    @pytest.mark.parametrize(
+        "name, algorithm, digest",
+        [
+            (
+                "case_study_1.json",
+                "br",
+                "8633be5f95a517d37403e94bf88ca550243753d0e6b3c9b2a242ee4603d8829a",
+            ),
+            (
+                "case_study_2.json",
+                "lll",
+                "53105c3e2a0efaad3f96d7e14b73f96b61bf40b9f728830f29f2e1ca6ef72e3b",
+            ),
+        ],
+    )
+    def test_traces_are_pinned(self, games, name, algorithm, digest):
+        config = LearningConfig(algorithm=algorithm, rounds=50, seed=11, epsilon=0.2)
+        batch = run_batch(games[name], config, 2)
+        payload = {
+            "records": [
+                [list(t.initial_plan.action_ids), t.initial_value, t.records]
+                for t in batch.traces
+            ],
+            "series": batch.series,
+        }
+        text = json.dumps(payload, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest

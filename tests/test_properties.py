@@ -17,6 +17,7 @@ from support import (
 from taskgrid import (
     ProfileState,
     build_minimal_action_set,
+    counters,
     enumerate_feasible_trajectories,
     global_value,
     profile_values,
@@ -109,23 +110,52 @@ def test_contributions_are_counter_differences_with_overlaps(seed):
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(seed=seeds)
+def test_counter_codes_decode_to_the_oracle_counters(seed):
+    rng, game = _overlap_and_table_game(seed)
+    state = ProfileState(game, game.random_plan(rng))
+    for robot_id, action_id in random_plan_walk(rng, game, 6):
+        state.switch(robot_id, action_id)
+        plan = state.plan()
+        for j, task in enumerate(game.tasks):
+            assert state.counters[j] == list(counters(game, plan, task))
+
+
+def _counter(task, offsets):
+    return tuple(offsets.count(o) for o in range(task.window_length))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=seeds)
 def test_station_table_decodes_to_the_contributions(seed):
-    # plain and extended draws alike: each action's code for each task
-    # decodes to the offsets contributions_of lists for it, or is -1 if none
+    # plain and extended draws alike: each action/task pair either has a
+    # code that decodes to the counter of the offsets contributions_of lists
+    # for it, or is absent: index -1, or no row for a task no action serves
     _, game = _overlap_and_table_game(seed)
     for robot_id, number in zip(game.robot_ids, game.robot_stations):
-        pieces, starts, codes = game._station_table(number)
-        assert codes.shape == (len(game.tasks), game.n_actions(robot_id))
+        table = game._station_table(number)
+        pieces, starts, served = table.pieces, table.starts, table.served
+        assert table.piece_ids.shape == (len(served), game.n_actions(robot_id))
+        assert list(served) == sorted(set(served))
         assert starts[-1] == len(pieces) == len(set(pieces))
+        rows = dict(zip(served, table.piece_ids))
+        for j in range(len(game.tasks)):
+            assert (j in rows) == (starts[j] < starts[j + 1])
+            assert all(k == j for k, _ in pieces[starts[j] : starts[j + 1]])
         for action_id in range(game.n_actions(robot_id)):
-            served = dict(game.contributions_of(robot_id, action_id))
-            for j in range(len(game.tasks)):
-                code = codes[j, action_id]
-                if code < 0:
-                    assert j not in served
+            contribs = game.contributions_of(robot_id, action_id)
+            adds = dict(contribs)
+            for j, task in enumerate(game.tasks):
+                index = rows[j][action_id] if j in rows else -1
+                if index < 0:
+                    assert j not in adds
                 else:
-                    assert starts[j] <= code < starts[j + 1]
-                    assert pieces[code] == (j, served[j])
+                    assert starts[j] <= index < starts[j + 1]
+                    k, code = pieces[index]
+                    assert k == j
+                    assert game._decode(j, code) == _counter(task, adds[j])
+            assert [
+                (j, game._decode(j, code)) for j, code in table.moves[action_id]
+            ] == [(j, _counter(game.tasks[j], offsets)) for j, offsets in contribs]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

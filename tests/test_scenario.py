@@ -560,6 +560,18 @@ class TestEpisodeSuites:
         with pytest.raises(ValidationError, match="episode-1"):
             episode_suite.get("episode-9")
 
+    def test_numpy_integer_index(self, episode_suite):
+        assert episode_suite.get(np.int64(3)) is episode_suite.get("episode-3")
+
+    @pytest.mark.parametrize(
+        "key",
+        [True, False, 2.7, 2.0, "2.0", " 2", "+2", "\u00b2", None, 0, 6, "6"],
+        ids=repr,
+    )
+    def test_a_key_that_is_no_name_or_index_is_rejected(self, episode_suite, key):
+        with pytest.raises(ValidationError, match=r"^no episode .*; have episode-1"):
+            episode_suite.get(key)
+
     def test_suite_defaults_apply_to_every_episode(self, episode_suite):
         for _, scenario in episode_suite.episodes:
             assert scenario.defaults_dict["algorithm"] == "br"
