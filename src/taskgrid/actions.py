@@ -32,7 +32,7 @@ from itertools import product
 from math import prod
 
 from .errors import BudgetExceededError, DomainError
-from .grid import enumerate_feasible_trajectories
+from .grid import _trajectory_start, enumerate_feasible_trajectories
 
 DEFAULT_SIGNATURE_BUDGET = 1_000_000
 DEFAULT_EXTENSION_BUDGET = 100_000
@@ -148,11 +148,7 @@ def achievable_signatures(grid, station, horizon, tasks, budget=DEFAULT_SIGNATUR
     bit-index order and ``masks`` is the set of maximal achievable
     signatures. The empty mask is returned alone iff no slot is servable.
     """
-    station = tuple(station)
-    if not grid.is_feasible(station):
-        raise DomainError(f"station {station} is not a feasible cell")
-    if horizon < 1:
-        raise DomainError("horizon must be at least 1")
+    station, horizon = _trajectory_start(grid, station, horizon)
     slots = _service_slots(grid, station, horizon, tasks)
     bit_of = {slot: i for i, slot in enumerate(slots)}
     dist = grid.distances_from(station)

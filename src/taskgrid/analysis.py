@@ -218,8 +218,8 @@ def is_nash(game, plan):
     """Per-robot argmax check of a single plan, in exact arithmetic."""
     state = ProfileState(game, plan)
     for robot_id in game.robot_ids:
-        utilities = state.utilities_over_actions(robot_id)
-        if utilities[plan.action_ids[robot_id - 1]] != max(utilities):
+        row = state.utilities_over_actions(robot_id)
+        if row[plan.action_ids[robot_id - 1]] != row.max():
             return False
     return True
 
@@ -288,8 +288,7 @@ def lll_transition_matrix(game, epsilon, budget=CHAIN_PROFILE_BUDGET):
     rows, cols, data = [], [], []
     for flat, (ids, state) in enumerate(_walk_profiles(game, shape)):
         for robot_index in range(n):
-            utilities = state.utilities_over_actions(robot_index + 1)
-            probs = _softmax(utilities, epsilon)
+            probs = _softmax(state.utilities_over_actions(robot_index + 1), epsilon)
             base = flat - ids[robot_index] * strides[robot_index]
             for a, p in enumerate(probs):
                 rows.append(flat)

@@ -118,21 +118,22 @@ def cmd_actions(args):
     return 0
 
 
+# plan's learning options, each also a scenario default and a batch job field
+_LEARNING_OPTIONS = ("algorithm", "rounds", "epsilon", "seed", "runs")
+
+
 def _learning_config(args, sc):
-    defaults = sc.defaults_dict
-    algorithm = args.algorithm or defaults.get("algorithm")
-    if algorithm is None:
+    # a flag overrides the scenario default; LearningConfig fills in the rest
+    given = sc.defaults_dict
+    for key in _LEARNING_OPTIONS:
+        if getattr(args, key) is not None:
+            given[key] = getattr(args, key)
+    if "algorithm" not in given:
         raise ValidationError("no algorithm given and the scenario has no default")
-    rounds = args.rounds if args.rounds is not None else defaults.get("rounds")
-    if rounds is None:
+    if "rounds" not in given:
         raise ValidationError("no round count given and the scenario has no default")
-    epsilon = args.epsilon if args.epsilon is not None else defaults.get("epsilon", 0.2)
-    seed = args.seed if args.seed is not None else defaults.get("seed", 0)
-    runs = args.runs if args.runs is not None else defaults.get("runs", 1)
-    config = learning.LearningConfig(
-        algorithm=algorithm, rounds=rounds, seed=seed, epsilon=epsilon
-    )
-    return config, runs
+    runs = given.pop("runs", 1)
+    return learning.LearningConfig(**given), runs
 
 
 def cmd_plan(args):
@@ -229,12 +230,8 @@ def cmd_analyze(args):
 
 
 # a batch job's fields are plan's options; its paths are relative to the manifest
-_JOB_FIELDS = (
-    "scenario", "episode", "algorithm", "rounds", "epsilon", "seed", "runs",
-    "out", "trace_dir", "json",
-)
+_JOB_FIELDS = ("scenario", "episode", *_LEARNING_OPTIONS, "out", "trace_dir", "json")
 _JOB_PATHS = ("scenario", "out", "trace_dir", "json")
-_JOB_LEARNING = ("algorithm", "rounds", "epsilon", "seed", "runs")
 
 
 def cmd_batch(args):
@@ -262,7 +259,7 @@ def cmd_batch(args):
                     if not isinstance(job[key], str):
                         raise ValidationError(f"{where}.{key}: expected a string")
                     fields[key] = base / job[key]
-            for key in _JOB_LEARNING:
+            for key in _LEARNING_OPTIONS:
                 if key in job:
                     learning._check_input(key, job[key], f"{where}.{key}")
             cmd_plan(argparse.Namespace(**fields, episode_field=f"{where}.episode"))

@@ -533,7 +533,7 @@ class ProfileState:
         return value
 
     def utilities_over_actions(self, robot_id):
-        """Utility of every action of ``robot_id`` given the others' actions."""
+        """Utility of every action of ``robot_id`` given the rest, as an int64 array."""
         game = self.game
         idx = game.robot_index(robot_id)
         table = game._station_table(game.robot_stations[idx])
@@ -552,7 +552,7 @@ class ProfileState:
                 value = self._value(j, code)
             gains.append(value - base[j])
         gains.append(0)  # read by piece id -1: adding nothing gains nothing
-        return np.array(gains, dtype=np.int64)[table.piece_ids].sum(axis=0).tolist()
+        return np.array(gains, dtype=np.int64)[table.piece_ids].sum(axis=0)
 
     def switch(self, robot_id, action_id):
         """Set one robot's action, updating counters and total incrementally."""

@@ -205,6 +205,21 @@ def is_feasible_trajectory(grid, station, trajectory):
     return trajectory_issue(grid, station, trajectory) is None
 
 
+def _trajectory_start(grid, station, horizon):
+    """A trajectory space's station as an int pair and horizon as an int, checked.
+
+    A station that is no feasible integer pair, or a horizon that is no integer
+    of at least 1, raises a DomainError naming it.
+    """
+    cell = _as_cell(station)
+    if cell is None or not grid.is_feasible(cell):
+        raise DomainError(f"station {station!r} is not a feasible (x, y) integer pair")
+    steps = _as_integer(horizon)
+    if steps is None or steps < 1:
+        raise DomainError(f"horizon must be an integer of at least 1, got {horizon!r}")
+    return cell, steps
+
+
 def count_feasible_trajectories(grid, station, horizon):
     """Exact number of feasible trajectories for one robot.
 
@@ -212,11 +227,7 @@ def count_feasible_trajectories(grid, station, horizon):
     walks from the station back to itself in the king-move graph on
     feasible cells. Cost O(horizon * |cells| * 9), no enumeration.
     """
-    station = tuple(station)
-    if not grid.is_feasible(station):
-        raise DomainError(f"station {station} is not a feasible cell")
-    if horizon < 1:
-        raise DomainError("horizon must be at least 1")
+    station, horizon = _trajectory_start(grid, station, horizon)
     counts = {station: 1}
     for _ in range(horizon):
         nxt = defaultdict(int)
@@ -235,11 +246,7 @@ def enumerate_feasible_trajectories(grid, station, horizon, budget=None):
     number of yielded trajectories and raises BudgetExceededError when
     the space is larger.
     """
-    station = tuple(station)
-    if not grid.is_feasible(station):
-        raise DomainError(f"station {station} is not a feasible cell")
-    if horizon < 1:
-        raise DomainError("horizon must be at least 1")
+    station, horizon = _trajectory_start(grid, station, horizon)
     dist = grid.distances_from(station)
     yielded = 0
     prefix = [station]

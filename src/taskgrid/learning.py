@@ -7,7 +7,9 @@ actions, so the global value never decreases and play stops changing exactly
 at the equilibria. Log-linear learning samples from a softmax over the
 robot's utilities with noise ``epsilon``, which keeps every action at
 positive probability and concentrates long-run play on global optima as the
-noise shrinks.
+noise shrinks. Both rules read the robot's utilities as the 1-D int64 array
+the kernel (``ProfileState.utilities_over_actions``) returns; the chosen
+action ids and the trace records are plain Python ints.
 
 Randomness is pinned: ``numpy.random.Generator(PCG64)`` seeded through
 ``SeedSequence(seed).spawn(2)``. Stream 0 picks the updating robot each
@@ -73,8 +75,7 @@ class LearningConfig:
         _check_input("algorithm", self.algorithm)
         _check_input("rounds", self.rounds)
         _check_input("seed", self.seed)
-        if self.algorithm == LOG_LINEAR:
-            _check_input("epsilon", self.epsilon)
+        _check_input("epsilon", self.epsilon)
 
 
 @dataclass
@@ -118,8 +119,8 @@ def _streams(seed):
 
 
 def _initial_plan(game, config, act_rng):
+    # an explicit plan is validated by the ProfileState that run builds on it
     if isinstance(config.initial, JointPlan):
-        game.validate_plan(config.initial)
         return config.initial
     if config.initial == "random":
         return game.random_plan(act_rng)
@@ -128,10 +129,8 @@ def _initial_plan(game, config, act_rng):
 
 def best_response_set(game, plan, robot_id):
     """Action ids maximizing the robot's utility against the fixed rest."""
-    state = ProfileState(game, plan)
-    utilities = state.utilities_over_actions(robot_id)
-    best = max(utilities)
-    return {a for a, u in enumerate(utilities) if u == best}
+    row = ProfileState(game, plan).utilities_over_actions(robot_id)
+    return set(np.flatnonzero(row == row.max()).tolist())
 
 
 def lll_distribution(game, plan, robot_id, epsilon):
@@ -153,10 +152,9 @@ def _check_epsilon(epsilon):
     _check_input("epsilon", epsilon, error=DomainError)
 
 
-def _softmax(utilities, epsilon):
+def _softmax(u, epsilon):
     # integer utilities: the subtraction is exact, so no inf - inf at tiny
     # epsilon; a gap whose quotient passes the float range becomes -inf
-    u = np.asarray(utilities)
     with np.errstate(over="ignore"):
         w = np.exp((u - u.max()) / epsilon)
     return w / w.sum()
@@ -184,17 +182,17 @@ def run(game, config):
     br = config.algorithm == BEST_RESPONSE
     for k in range(1, config.rounds + 1):
         robot_id = int(pick_rng.integers(n)) + 1
-        utilities = state.utilities_over_actions(robot_id)
+        row = state.utilities_over_actions(robot_id)
         current = state.action_ids[robot_id - 1]
         if br:
-            best = max(utilities)
-            if utilities[current] == best:
+            best = row.max()
+            if row[current] == best:
                 chosen = current
             else:
-                ties = [a for a, u in enumerate(utilities) if u == best]
-                chosen = ties[int(act_rng.integers(len(ties)))]
+                ties = np.flatnonzero(row == best)
+                chosen = int(ties[act_rng.integers(len(ties))])
         else:
-            probs = _softmax(utilities, config.epsilon)
+            probs = _softmax(row, config.epsilon)
             chosen = int(act_rng.choice(len(probs), p=probs))
         state.switch(robot_id, chosen)
         trace.records.append((k, robot_id, chosen, state.global_value()))

@@ -188,6 +188,19 @@ class TestPlan:
         assert (code, out) == (2, "")
         assert err == "error: seed must be a non-negative integer\n"
 
+    def test_best_response_checks_epsilon_too(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "plan",
+            example("example_3.json"),
+            "--algorithm",
+            "br",
+            "--epsilon",
+            "0",
+        )
+        assert (code, out) == (2, "")
+        assert "epsilon must be positive" in err
+
     def test_no_algorithm_and_no_default(self, capsys, tmp_path):
         bare = tmp_path / "bare.json"
         obj = {

@@ -206,7 +206,7 @@ class TestProfileStateAgainstNaive:
             plan = game.random_plan(rng)
             state = ProfileState(game, plan)
             robot_id = int(rng.integers(game.n_robots)) + 1
-            fast = state.utilities_over_actions(robot_id)
+            fast = state.utilities_over_actions(robot_id).tolist()
             slow = [
                 utility(game, plan.replace(robot_id - 1, a), robot_id)
                 for a in range(game.n_actions(robot_id))
@@ -221,7 +221,7 @@ class TestProfileStateAgainstNaive:
             plan = game.random_plan(rng)
             state = ProfileState(game, plan)
             for robot_id in game.robot_ids:
-                fast = state.utilities_over_actions(robot_id)
+                fast = state.utilities_over_actions(robot_id).tolist()
                 slow = [
                     utility(game, plan.replace(robot_id - 1, a), robot_id)
                     for a in range(game.n_actions(robot_id))
@@ -280,10 +280,21 @@ class TestProfileStateAgainstNaive:
         state = ProfileState(game, JointPlan((0, 1)))
         first = state.utilities_over_actions(1)
         second = state.utilities_over_actions(1)
-        assert first == second
+        assert first.tolist() == second.tolist()
         fresh = ProfileState(game, JointPlan((0, 1)))
         assert state.counters == fresh.counters
         assert state.total == fresh.total
+
+
+    def test_the_kernel_returns_one_int64_entry_per_action(self, all_games):
+        empty = GameInstance(Grid(3, 3, stations=[(1, 1)]), 3, [1, 1], [])
+        for game in [*all_games.values(), empty]:
+            state = ProfileState(game, JointPlan((0,) * game.n_robots))
+            for robot_id in game.robot_ids:
+                row = state.utilities_over_actions(robot_id)
+                assert isinstance(row, np.ndarray)
+                assert row.dtype == np.int64
+                assert row.shape == (game.n_actions(robot_id),)
 
 
 class TestKernelExactness:
@@ -304,7 +315,7 @@ class TestKernelExactness:
         state = ProfileState(game, JointPlan((0,)))
         for action_id in (1, 0, 1):
             plan = state.plan()
-            fast = state.utilities_over_actions(1)
+            fast = state.utilities_over_actions(1).tolist()
             assert fast == [utility(game, JointPlan((a,)), 1) for a in (0, 1)]
             assert sorted(fast) == [2**62 + 1, 2**63 - 2]
             assert state.global_value() == global_value(game, plan)
@@ -349,14 +360,14 @@ class TestKernelExactness:
         ]
         state = ProfileState(game, JointPlan((0,) * 257 + (1,) * 3))
         assert state.counters == [[257, 257, 257], [3, 0]]
-        assert state.utilities_over_actions(1) == [7, 5]
+        assert state.utilities_over_actions(1).tolist() == [7, 5]
         for robot_id, action_id in ((260, 0), (260, 1), (1, 1), (1, 0)):
             plan = state.plan()
             assert state.counters == [list(counters(game, plan, t)) for t in tasks]
             assert max(state.counters[0]) > 255
             assert state.global_value() == global_value(game, plan)
             for r in (1, 260):
-                assert state.utilities_over_actions(r) == [
+                assert state.utilities_over_actions(r).tolist() == [
                     utility(game, plan.replace(r - 1, a), r) for a in (0, 1)
                 ]
             state.switch(robot_id, action_id)
@@ -368,7 +379,7 @@ class TestStationTable:
         state = ProfileState(game, JointPlan((0, 0)))
         for robot_id in game.robot_ids:
             zeros = [0] * game.n_actions(robot_id)
-            assert state.utilities_over_actions(robot_id) == zeros
+            assert state.utilities_over_actions(robot_id).tolist() == zeros
         values = profile_values(game)
         assert values.shape == game.action_set_sizes()
         assert not values.any()

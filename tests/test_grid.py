@@ -11,6 +11,7 @@ from taskgrid import (
     is_feasible_trajectory,
     trajectory_issue,
 )
+from taskgrid.actions import achievable_signatures
 
 OBSTACLES = [
     (1, 5), (2, 4), (2, 5), (4, 2), (4, 3),
@@ -224,6 +225,38 @@ class TestCounting:
             count_feasible_trajectories(env, (2, 2), 0)
         with pytest.raises(DomainError):
             list(enumerate_feasible_trajectories(env, (2, 2), 0))
+
+
+    @pytest.mark.parametrize(
+        "space",
+        [
+            count_feasible_trajectories,
+            lambda grid, station, horizon: list(
+                enumerate_feasible_trajectories(grid, station, horizon)
+            ),
+            lambda grid, station, horizon: achievable_signatures(
+                grid, station, horizon, ()
+            ),
+        ],
+        ids=["count", "enumerate", "signatures"],
+    )
+    @pytest.mark.parametrize(
+        "station, horizon, field",
+        [
+            ((2, 2), 2.5, "horizon"),
+            ((2, 2), True, "horizon"),
+            ((2, 2), "3", "horizon"),
+            ((1.5, 1), 3, "station"),
+            ((True, 1), 3, "station"),
+            ((1,), 3, "station"),
+        ],
+        ids=repr,
+    )
+    def test_one_start_rule_for_the_trajectory_space(
+        self, env, space, station, horizon, field
+    ):
+        with pytest.raises(DomainError, match=f"^{field} "):
+            space(env, station, horizon)
 
 
 class TestEnumeration:

@@ -57,8 +57,9 @@ class TestConfig:
             LearningConfig(algorithm="br", rounds=0)
         with pytest.raises(ValidationError):
             LearningConfig(algorithm="lll", rounds=5, epsilon=0.0)
-        # epsilon is irrelevant to best response
-        LearningConfig(algorithm="br", rounds=5, epsilon=0.0)
+        # one epsilon rule for both algorithms
+        with pytest.raises(ValidationError, match="^epsilon must be positive"):
+            LearningConfig(algorithm="br", rounds=5, epsilon=0.0)
 
     @pytest.mark.parametrize(
         "name, value",
@@ -135,12 +136,22 @@ class TestTraces:
         assert a.records != b.records
 
 
+    @pytest.mark.parametrize("algorithm", ["br", "lll"])
+    def test_records_hold_plain_ints(self, games, algorithm):
+        game = games["case_study_1.json"]
+        trace = run(game, LearningConfig(algorithm=algorithm, rounds=30, seed=4))
+        assert all(type(a) is int for a in trace.initial_plan.action_ids)
+        assert all(type(x) is int for record in trace.records for x in record)
+        assert all(type(a) is int for a in trace.final_plan.action_ids)
+
+
 class TestBestResponse:
     def test_argmax_set_is_exact(self, tie_game, games):
         assert best_response_set(tie_game, JointPlan((2,)), 1) == {0, 1}
         game = games["example_3.json"]
         assert best_response_set(game, JointPlan((0, 2)), 1) == {2}
         assert best_response_set(game, JointPlan((0, 0)), 1) == {1}
+        assert all(type(a) is int for a in best_response_set(tie_game, JointPlan((2,)), 1))
 
     def test_current_action_wins_ties(self, tie_game):
         trace = run_best_response(

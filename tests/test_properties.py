@@ -38,7 +38,7 @@ def test_fast_paths_match_the_naive_oracles(seed):
     plan = game.random_plan(rng)
     state = ProfileState(game, plan)
     for robot_id in game.robot_ids:
-        assert state.utilities_over_actions(robot_id) == [
+        assert state.utilities_over_actions(robot_id).tolist() == [
             utility(game, plan.replace(robot_id - 1, a), robot_id)
             for a in range(game.n_actions(robot_id))
         ]
@@ -62,7 +62,7 @@ def test_kernel_and_switch_match_the_oracles_with_overlaps_and_tables(seed):
     plan = game.random_plan(rng)
     state = ProfileState(game, plan)
     for robot_id, action_id in random_plan_walk(rng, game, 4):
-        assert state.utilities_over_actions(robot_id) == [
+        assert state.utilities_over_actions(robot_id).tolist() == [
             utility(game, plan.replace(robot_id - 1, a), robot_id)
             for a in range(game.n_actions(robot_id))
         ]
@@ -84,7 +84,7 @@ def test_kernel_matches_the_oracle_on_a_warm_value_memo(seed):
         plan = state.plan()
         assert state.global_value() == global_value(game, plan)
         for r in game.robot_ids:
-            assert state.utilities_over_actions(r) == [
+            assert state.utilities_over_actions(r).tolist() == [
                 utility(game, plan.replace(r - 1, a), r)
                 for a in range(game.n_actions(r))
             ]
