@@ -9,10 +9,10 @@ These serve as oracles for the learning dynamics and for the price-of-anarchy
 bound on single-station games with simple tasks.
 
 The value array over joint plans is built task by task without visiting the
-plans: a task's value depends on the plan only through the offsets each
-robot's action adds to its counter, and the actions of a station add few
-distinct offset tuples to any one task. Only the identity check walks the
-plans, because it must call the learning kernel at each of them.
+plans: a task's value depends on the plan only through the counter code each
+robot's action adds to it, and the actions of a station add few distinct
+codes to any one task. Only the identity check walks the plans, because it
+must call the learning kernel at each of them.
 """
 
 import math
@@ -43,7 +43,6 @@ DEFAULT_PROFILE_BUDGET = 200_000
 # the log-linear chain functions walk every profile with the kernel
 CHAIN_PROFILE_BUDGET = 10_000
 INFINITE_POA = math.inf
-_ADDS_NOTHING = np.array([-1], dtype=np.intp)
 
 
 def _product_within(sizes, budget, space):
@@ -87,30 +86,27 @@ def profile_values(game, budget=DEFAULT_PROFILE_BUDGET):
     """Global value of every joint plan, as an integer array over action ids.
 
     Axis ``i`` indexes robot ``i + 1``'s actions; entries are exact. No plan
-    is visited: for each task, every combination of the robots' distinct
-    counter codes (``GameInstance._station_table``, and 0 if an action adds
-    nothing; 0 alone for a task no action of the station serves) is summed
-    into a counter code and valued once, each distinct counter by one
-    ``ValueFunction.evaluate`` call, and the task's table of values is added
-    to the array through ``np.ix_``. The ``max_value`` sum is below 2**63,
-    so the int64 sums cannot wrap.
+    is visited: for each task, robot ``i``'s axis lists the distinct counter
+    codes its actions add to the task (the game's moves, code 0 when an
+    action adds nothing) in first-appearance order. Every combination of the
+    robots' codes is summed into a counter code and valued once, each
+    distinct counter by one ``ValueFunction.evaluate`` call, and the task's
+    table of values is added to the array through ``np.ix_``. The
+    ``max_value`` sum is below 2**63, so the int64 sums cannot wrap.
     """
     shape, _ = _profile_shape(game, budget)
-    tables = [game._station_table(number) for number in game.robot_stations]
-    rows = [dict(zip(table.served, table.piece_ids)) for table in tables]
+    adds = [
+        [dict(move) for move in game._station_moves[number]]
+        for number in game.robot_stations
+    ]
     values = np.zeros(shape, dtype=np.int64)
     for j, task in enumerate(game.tasks):
         axes, ids = [], []
-        for station, station_rows in zip(tables, rows):
-            start, stop = station.starts[j : j + 2]
-            axis = [code for _, code in station.pieces[start:stop]]
-            row = station_rows.get(j)
-            # -1: adds nothing; one -1 broadcasts when no action serves j
-            row = _ADDS_NOTHING if row is None else np.maximum(row - start, -1)
-            if row.min() < 0:
-                axis.append(0)  # read by index -1
-            axes.append(axis)
-            ids.append(row if len(axis) > 1 else row[:1])  # [:1] broadcasts
+        for robot_adds in adds:
+            index = {}  # code -> its place on the axis
+            row = [index.setdefault(a.get(j, 0), len(index)) for a in robot_adds]
+            axes.append(list(index))
+            ids.append(row if len(index) > 1 else row[:1])  # [:1] broadcasts
         memo = {}
         table = []
         for combo in product(*axes):

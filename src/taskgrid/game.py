@@ -20,19 +20,20 @@ fewest of 1, 2, 4 or 8 bytes with ``n_robots < 256**w``. No entry exceeds
 ``n_robots``, which is below the digit base, so the sum of two codes whose
 counters sum to a counter of at most ``n_robots`` robots never carries from
 one digit into the next: adding or subtracting codes adds or subtracts the
-counters. Every action contribution and table piece has its code, so a
-robot's service is added or removed with one int operation per task. A
-code decodes in one step, ``struct.unpack`` of its little-endian bytes
-(``GameInstance._decode``).
+counters. The game states what each action adds once, as its moves: the
+``(task index, counter code)`` pairs of the tasks it serves, built with the
+action sets. A robot's service is added or removed with one int operation
+per task. A code decodes in one step, ``struct.unpack`` of its
+little-endian bytes (``GameInstance._decode``).
 
 The engine reads task values through one memo per task of the profile
 state, a dict from counter code to value, filled on first use by
 ``ValueFunction.evaluate`` on the decoded counter and dropped with the
 state; the oracles call ``evaluate`` directly and never read it. The kernel
-reads the station's table of the distinct codes its actions add to each
-task: a call prices each once, as the value gain of adding it to the code
-without the robot, and sums each action's gains over the tasks the station
-serves with one gather. Gains are non-negative (values are monotone) and
+reads the station's table of the distinct moves of its actions: a call
+prices each once, as the value gain of adding its code to the code without
+the robot, and sums each action's gains over the tasks the station serves
+with one gather. Gains are non-negative (values are monotone) and
 the ``max_value`` sum is below 2**63, so the int64 sums are exact.
 """
 
@@ -142,13 +143,10 @@ def _check_tasks(grid, horizon, cap, tasks):
 
 
 class StationTable(NamedTuple):
-    """What a station's actions add to the counters (``GameInstance._station_table``)."""
+    """The kernel's view of a station's moves (``GameInstance._station_table``)."""
 
     pieces: tuple
-    starts: tuple
-    served: tuple
     piece_ids: np.ndarray
-    moves: tuple
 
 
 class GameInstance:
@@ -198,13 +196,14 @@ class GameInstance:
         self.mode = mode
 
         self._task_index = {task.id: i for i, task in enumerate(self.tasks)}
-        # per station: its StationTable, built on its first use
+        # per station: its StationTable, built on the kernel's first use
         self._tables = {}
         index = actions_mod._service_index(horizon, self.tasks)
         # action sets depend only on the station, so co-stationed robots share
         self.station_action_sets = {}
         self._station_actions = {}
-        self._station_contribs = {}
+        # per station: each action's moves, its (task index, counter code) pairs
+        self._station_moves = {}
         for number in sorted(set(self.robot_stations)):
             cell = grid.station(number)
             base = actions_mod.build_minimal_action_set(
@@ -227,7 +226,7 @@ class GameInstance:
                     for sig in base.signatures
                 ]
             self._station_actions[number] = acts
-            self._station_contribs[number] = tuple(map(self._contributions, stays))
+            self._station_moves[number] = tuple(map(self._moves, stays))
 
     # -- structure --------------------------------------------------------
 
@@ -267,7 +266,10 @@ class GameInstance:
     def contributions_of(self, robot_id, action_id):
         """Tuple of (task index, window-offset tuple) pairs for one action."""
         number = self.robot_stations[self.robot_index(robot_id)]
-        return self._station_contribs[number][action_id]
+        return tuple(
+            (j, tuple(o for o, n in enumerate(self._decode(j, code)) if n))
+            for j, code in self._station_moves[number][action_id]
+        )
 
     @cached_property
     def _digit_bits(self):
@@ -280,64 +282,55 @@ class GameInstance:
         fmt = {8: "B", 16: "H", 32: "I", 64: "Q"}[self._digit_bits]
         return tuple(struct.Struct(f"<{t.window_length}{fmt}") for t in self.tasks)
 
-    def _encode(self, offsets):
-        """The counter code of one robot serving task steps ``offsets``."""
-        return sum(1 << self._digit_bits * o for o in offsets)
-
     def _decode(self, j, code):
         """The counter tuple of task ``j`` that ``code`` encodes."""
         codec = self._codecs[j]
         return codec.unpack(code.to_bytes(codec.size, "little"))
 
-    def _station_table(self, number):
-        """The distinct non-empty counter codes a station's actions add to each task.
+    def _moves(self, stays):
+        """The moves, ``(task index, counter code)``, of ``(t, task index)`` stays.
 
-        Returns a ``StationTable``. ``moves[a]`` holds the ``(task index,
-        code)`` pairs that action ``a`` adds. ``pieces`` holds the distinct
-        pairs, task ``j``'s at ``pieces[starts[j]:starts[j + 1]]`` in
-        first-appearance order. ``served`` lists, in order, the tasks some
-        action adds to, and row ``r`` of the (served, actions) intp array
-        ``piece_ids`` gives each action's index in ``pieces`` for task
-        ``served[r]``, or -1 if the action adds nothing to it, which readers
-        map to a zero entry they append.
+        A stay whose task index is None serves no task and adds nothing.
+        """
+        codes = {}
+        for t, j in stays:
+            if j is not None:
+                step = 1 << self._digit_bits * (t - self.tasks[j].arrival)
+                codes[j] = codes.get(j, 0) + step
+        return tuple(sorted(codes.items()))
+
+    def _station_table(self, number):
+        """The distinct moves of a station's actions, as the kernel reads them.
+
+        Returns a ``StationTable``, built on the kernel's first use of the
+        station. ``pieces`` holds the distinct ``(task index, code)`` pairs
+        of the station's moves, grouped by task in task order and in
+        first-appearance order within a task. Row ``r`` of the intp array
+        ``piece_ids``, of shape (tasks some action serves, actions), belongs
+        to the ``r``-th such task and gives each action's index in
+        ``pieces`` for it, or -1 if the action adds nothing to it, which the
+        kernel maps to a zero gain it appends.
         """
         cached = self._tables.get(number)
         if cached is None:
-            moves = tuple(
-                tuple((j, self._encode(offsets)) for j, offsets in contrib)
-                for contrib in self._station_contribs[number]
-            )
-            adds = [dict(move) for move in moves]
-            pieces, starts, served, piece_ids = [], [0], [], []
+            adds = [dict(move) for move in self._station_moves[number]]
+            pieces, piece_ids = [], []
             for j in range(len(self.tasks)):
                 index = {}
                 row = [
-                    index.setdefault(a[j], starts[j] + len(index)) if j in a else -1
+                    index.setdefault(a[j], len(pieces) + len(index)) if j in a else -1
                     for a in adds
                 ]
                 if index:
-                    served.append(j)
                     piece_ids.append(row)
-                pieces.extend((j, code) for code in index)
-                starts.append(len(pieces))
+                    pieces.extend((j, code) for code in index)
             cached = self._tables[number] = StationTable(
                 pieces=tuple(pieces),
-                starts=tuple(starts),
-                served=tuple(served),
                 piece_ids=np.array(piece_ids, dtype=np.intp).reshape(
-                    len(served), len(moves)
+                    len(piece_ids), len(adds)
                 ),
-                moves=moves,
             )
         return cached
-
-    def _contributions(self, stays):
-        """Counter entries that ``(t, task index or None)`` stays increment, by task."""
-        per_task = {}
-        for t, j in stays:
-            if j is not None:
-                per_task.setdefault(j, []).append(t - self.tasks[j].arrival)
-        return tuple((j, tuple(offs)) for j, offs in sorted(per_task.items()))
 
     def validate_plan(self, plan):
         ids = plan.action_ids
@@ -504,7 +497,7 @@ class ProfileState:
         self.action_ids = list(plan.action_ids)
         codes = [0] * len(game.tasks)
         for number, action_id in zip(game.robot_stations, self.action_ids):
-            for j, delta in game._station_table(number).moves[action_id]:
+            for j, delta in game._station_moves[number][action_id]:
                 codes[j] += delta
         self._codes = codes
         # per task: counter code -> value, filled on first use
@@ -536,11 +529,12 @@ class ProfileState:
         """Utility of every action of ``robot_id`` given the rest, as an int64 array."""
         game = self.game
         idx = game.robot_index(robot_id)
-        table = game._station_table(game.robot_stations[idx])
+        number = game.robot_stations[idx]
+        table = game._station_table(number)
         # the codes and values without this robot: only the tasks its
         # current action serves change
         codes, base = list(self._codes), list(self.values)
-        for j, delta in table.moves[self.action_ids[idx]]:
+        for j, delta in game._station_moves[number][self.action_ids[idx]]:
             codes[j] -= delta
             base[j] = self._value(j, codes[j])
         memo = self._memo
@@ -562,7 +556,7 @@ class ProfileState:
         if action_id == old:
             return
         game._check_action(idx, action_id)
-        moves = game._station_table(game.robot_stations[idx]).moves
+        moves = game._station_moves[game.robot_stations[idx]]
         codes = self._codes
         for j, delta in moves[old]:
             codes[j] -= delta

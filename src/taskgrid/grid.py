@@ -239,12 +239,13 @@ def count_feasible_trajectories(grid, station, horizon):
 
 
 def enumerate_feasible_trajectories(grid, station, horizon, budget=None):
-    """Yield every feasible trajectory exactly once, in lexicographic order.
+    """An iterator over every feasible trajectory, each once, in lexicographic order.
 
     Ordering is pointwise over the position sequence with cells compared
     as (x, y) pairs. Intended for small instances; ``budget`` caps the
     number of yielded trajectories and raises BudgetExceededError when
-    the space is larger.
+    the space is larger. The station and horizon are checked on the call,
+    before any trajectory is drawn.
     """
     station, horizon = _trajectory_start(grid, station, horizon)
     dist = grid.distances_from(station)
@@ -273,4 +274,4 @@ def enumerate_feasible_trajectories(grid, station, horizon, budget=None):
             yield from extend(t + 1)
             prefix.pop()
 
-    yield from extend(0)
+    return extend(0)

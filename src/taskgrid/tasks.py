@@ -261,17 +261,7 @@ def validate_monotonicity(spec, window_len, robot_cap, budget=2_000_000):
         raise BudgetExceededError(
             f"monotonicity check needs {total} vectors, budget {budget}", size=total
         )
-
-    def vectors(prefix):
-        if len(prefix) == window_len:
-            yield tuple(prefix)
-            return
-        for e in range(robot_cap + 1):
-            prefix.append(e)
-            yield from vectors(prefix)
-            prefix.pop()
-
-    for c in vectors([]):
+    for c in product(range(robot_cap + 1), repeat=window_len):
         base = spec.evaluate(c)
         for i in range(window_len):
             if c[i] < robot_cap:

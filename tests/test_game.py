@@ -15,8 +15,10 @@ from taskgrid import (
     Task,
     ValidationError,
     ValueFunction,
+    brute_force_optimum,
     build_game,
     counters,
+    enumerate_nash,
     global_value,
     is_nash,
     local_robots,
@@ -215,9 +217,19 @@ class TestProfileStateAgainstNaive:
             assert state.plan() == plan  # evaluation must not disturb the state
 
     def test_utilities_match_on_random_games(self):
+        # only games in which two robots meet and some robot has a choice:
+        # with one action per robot a row holds a single number
         rng = np.random.default_rng(33)
-        for _ in range(8):
-            game = random_game(rng)
+        games = []
+        for _ in range(100):
+            game = random_game(rng, max_tasks=5, max_robots=3, max_horizon=6)
+            sizes = game.action_set_sizes()
+            if len(sizes) >= 2 and max(sizes) >= 2:
+                games.append(game)
+            if len(games) == 8:
+                break
+        assert len(games) == 8
+        for game in games:
             plan = game.random_plan(rng)
             state = ProfileState(game, plan)
             for robot_id in game.robot_ids:
@@ -384,8 +396,12 @@ class TestStationTable:
         assert values.shape == game.action_set_sizes()
         assert not values.any()
 
-    def test_built_on_first_use_and_shared_with_the_analysis(self, scenarios):
+    def test_built_on_the_kernels_first_use_and_not_by_the_analysis(self, scenarios):
+        # the exact analysis reads the game's moves, not the kernel's table
         game = build_game(scenarios["example_3.json"])
+        assert game._tables == {}
+        brute_force_optimum(game)
+        enumerate_nash(game)
         assert game._tables == {}
         ProfileState(game, JointPlan((0,) * game.n_robots)).utilities_over_actions(1)
         table = game._tables[game.robot_stations[0]]

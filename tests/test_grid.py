@@ -234,11 +234,13 @@ class TestCounting:
             lambda grid, station, horizon: list(
                 enumerate_feasible_trajectories(grid, station, horizon)
             ),
+            # checked on the call, not on the first draw
+            enumerate_feasible_trajectories,
             lambda grid, station, horizon: achievable_signatures(
                 grid, station, horizon, ()
             ),
         ],
-        ids=["count", "enumerate", "signatures"],
+        ids=["count", "enumerate", "enumerate-unconsumed", "signatures"],
     )
     @pytest.mark.parametrize(
         "station, horizon, field",

@@ -102,6 +102,15 @@ def test_value_tensor_matches_the_oracle_with_overlaps_and_tables(seed):
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(seed=seeds)
+def test_contributions_are_counter_differences(seed):
+    # contributions_of decodes the moves' counter codes in either mode
+    rng = np.random.default_rng(seed)
+    game = random_game(rng, max_robots=3, n_stations=2, profile_cap=400)
+    assert_contributions_are_counter_differences(game, rng)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=seeds)
 def test_contributions_are_counter_differences_with_overlaps(seed):
     rng, game = _overlap_and_table_game(seed)
     assume(game.mode == EXTENDED)
@@ -127,35 +136,36 @@ def _counter(task, offsets):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(seed=seeds)
 def test_station_table_decodes_to_the_contributions(seed):
-    # plain and extended draws alike: each action/task pair either has a
-    # code that decodes to the counter of the offsets contributions_of lists
-    # for it, or is absent: index -1, or no row for a task no action serves
+    # plain and extended draws alike: each action's moves decode to the
+    # counters of the offsets contributions_of lists, and the kernel's table
+    # holds each distinct move once, with index -1 exactly where an action
+    # adds nothing to a task and no row for a task no action serves
     _, game = _overlap_and_table_game(seed)
     for robot_id, number in zip(game.robot_ids, game.robot_stations):
+        moves = game._station_moves[number]
+        adds = [dict(move) for move in moves]
         table = game._station_table(number)
-        pieces, starts, served = table.pieces, table.starts, table.served
+        pieces = table.pieces
+        served = sorted({j for a in adds for j in a})
         assert table.piece_ids.shape == (len(served), game.n_actions(robot_id))
-        assert list(served) == sorted(set(served))
-        assert starts[-1] == len(pieces) == len(set(pieces))
-        rows = dict(zip(served, table.piece_ids))
-        for j in range(len(game.tasks)):
-            assert (j in rows) == (starts[j] < starts[j + 1])
-            assert all(k == j for k, _ in pieces[starts[j] : starts[j + 1]])
-        for action_id in range(game.n_actions(robot_id)):
-            contribs = game.contributions_of(robot_id, action_id)
-            adds = dict(contribs)
-            for j, task in enumerate(game.tasks):
-                index = rows[j][action_id] if j in rows else -1
+        assert len(pieces) == len(set(pieces))
+        # grouped by task in task order, first-appearance order within one
+        assert pieces == tuple(
+            (j, code)
+            for j in served
+            for code in dict.fromkeys(a[j] for a in adds if j in a)
+        )
+        for j, row in zip(served, table.piece_ids):
+            for a, index in zip(adds, row.tolist()):
                 if index < 0:
-                    assert j not in adds
+                    assert j not in a
                 else:
-                    assert starts[j] <= index < starts[j + 1]
-                    k, code = pieces[index]
-                    assert k == j
-                    assert game._decode(j, code) == _counter(task, adds[j])
-            assert [
-                (j, game._decode(j, code)) for j, code in table.moves[action_id]
-            ] == [(j, _counter(game.tasks[j], offsets)) for j, offsets in contribs]
+                    assert pieces[index] == (j, a[j])
+        for action_id, move in enumerate(moves):
+            contribs = game.contributions_of(robot_id, action_id)
+            assert [(j, game._decode(j, code)) for j, code in move] == [
+                (j, _counter(game.tasks[j], offsets)) for j, offsets in contribs
+            ]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
