@@ -15,7 +15,12 @@ enumerates the achievable signatures, pruning states that cannot return to
 the station in the remaining time and, per (time, cell) group, signatures
 dominated by a superset (any completion of the dominated signature is also a
 completion of the dominating one). Signatures are bitmasks over the slots,
-and the slots are sorted by ``(t, cell)``, so bit order is time order. Each
+and the slots are sorted by ``(t, cell)``, so bit order is time order. The
+dominance test has two regimes, chosen by group size: a small group compares
+each mask with the kept masks in turn, and a large one looks the mask's bits
+up in a per-bit index of the kept masks, held as Python-int bitsets so that
+the slot count has no cap. Each regime is the faster one on its side of the
+crossover, and both keep the same set. Each
 maximal signature is then realized by its lexicographically smallest
 trajectory. Any trajectory that makes all of a maximal signature's stays has
 exactly that signature, so a greedy walk finds it: each step takes the first
@@ -127,18 +132,57 @@ def _service_slots(grid, station, horizon, tasks):
     )
 
 
+# Group size from which _prune_dominated uses the per-bit index: measured per
+# group size on the benchmark's groups, the pairwise scan is faster below about
+# 80 masks, the two tie up to 96 and the index is 4x faster past 256.
+_INDEX_FROM = 96
+
+
 def _prune_dominated(masks):
-    """Drop masks that are subsets of another mask in the group."""
+    """Drop masks that are subsets of another mask in the group.
+
+    The masks are visited largest popcount first, so every strict superset
+    of a mask comes before it, and a mask is kept iff no kept mask holds
+    all of its bits. Below ``_INDEX_FROM`` masks, each mask is tested
+    against the kept masks in turn. From there on, ``holders`` maps each
+    bit, as its power of two, to a bitset of the positions of the kept
+    masks that hold it, and a mask is dominated iff the AND of its bits'
+    bitsets is non-zero; the empty mask is dominated iff anything is kept.
+    Both regimes keep the same set; the index only costs less per mask once
+    the group is large.
+    """
     if len(masks) <= 1:
         return set(masks)
-    kept = []
-    for m in sorted(masks, key=int.bit_count, reverse=True):
-        for k in kept:
-            if m & k == m:
-                break
-        else:
-            kept.append(m)
-    return set(kept)
+    ordered = sorted(masks, key=int.bit_count, reverse=True)
+    if len(ordered) < _INDEX_FROM:
+        kept = []
+        for m in ordered:
+            for k in kept:
+                if m & k == m:
+                    break
+            else:
+                kept.append(m)
+        return set(kept)
+    holders = {}
+    kept = set()
+    pos = 1  # the bitset bit of the next kept mask
+    for m in ordered:
+        common = pos - 1
+        rest = m
+        while rest and common:
+            low = rest & -rest
+            common &= holders.get(low, 0)
+            rest ^= low
+        if common:
+            continue
+        kept.add(m)
+        rest = m
+        while rest:
+            low = rest & -rest
+            holders[low] = holders.get(low, 0) | pos
+            rest ^= low
+        pos <<= 1
+    return kept
 
 
 def achievable_signatures(grid, station, horizon, tasks, budget=DEFAULT_SIGNATURE_BUDGET):
@@ -176,8 +220,9 @@ def achievable_signatures(grid, station, horizon, tasks, budget=DEFAULT_SIGNATUR
                 f"budget {budget}",
                 size=size,
             )
-    final = _prune_dominated(frontier.get(station, {0}))
-    return final, slots
+    # staying has distance 0, so the station is in every step's frontier,
+    # and that step already pruned its group
+    return frontier[station], slots
 
 
 def _lex_smallest_realizing(grid, station, horizon, signatures):

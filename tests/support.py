@@ -166,6 +166,44 @@ def assert_contributions_are_counter_differences(game, rng):
                 assert got == want, (robot_id, action_id, task.id)
 
 
+def maximal_masks(group):
+    """The masks of ``group`` that no other mask of it contains.
+
+    The definition-level oracle for ``actions._prune_dominated``; it shares
+    no code with either of that function's regimes.
+    """
+    return {m for m in group if not any(m != k and m & k == m for k in group)}
+
+
+def random_mask_group(rng, size, width):
+    """A set of at most ``size + 1`` bitmasks over ``width`` bits.
+
+    The union of a few antichains (distinct masks of one popcount each)
+    with loose masks: subsets of drawn masks, which a prune must drop,
+    masks of a random density, and, in half the draws, the empty mask.
+    """
+
+    def of_popcount(bits):
+        return sum(1 << int(i) for i in rng.choice(width, size=bits, replace=False))
+
+    n_chains = int(rng.integers(1, 5))
+    n_loose = int(rng.integers(0, size + 1)) // 2
+    drawn = []
+    for c in range(n_chains):
+        bits = int(rng.integers(0, width + 1))
+        share = (size - n_loose) // n_chains + (c < (size - n_loose) % n_chains)
+        drawn.extend(of_popcount(bits) for _ in range(share))
+    for _ in range(n_loose):
+        if drawn and rng.random() < 0.5:
+            drawn.append(drawn[int(rng.integers(len(drawn)))] & of_popcount(width // 2))
+        else:
+            density = rng.random()
+            drawn.append(sum(1 << i for i in range(width) if rng.random() < density))
+    if rng.random() < 0.5:
+        drawn.append(0)
+    return set(drawn)
+
+
 def walk_values(game):
     """Global value of every joint plan, read from one ProfileState walk.
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from support import random_game
@@ -120,6 +122,20 @@ class TestConstruction:
         with pytest.raises(BudgetExceededError):
             achievable_signatures(sc.grid, (2, 2), 8, sc.tasks, budget=5)
 
+    def test_signature_budget_counts_each_pruned_frontier(self, scenarios):
+        # the budget counts the states of each step's pruned frontier, so the
+        # prune must keep the same set at every step, not only at the end;
+        # steps 6 and 7 prune groups of more than _INDEX_FROM masks
+        sc = scenarios["case_study_2.json"]
+        station = sc.grid.station(1)
+        sizes = [9, 12, 41, 105, 292, 758, 1753]
+        for step, size in enumerate(sizes, start=1):
+            with pytest.raises(BudgetExceededError, match=f"at step {step},") as info:
+                achievable_signatures(sc.grid, station, 8, sc.tasks, budget=size - 1)
+            assert info.value.size == size
+        masks, _ = achievable_signatures(sc.grid, station, 8, sc.tasks, budget=1753)
+        assert len(masks - {0}) == 586
+
 
 class TestCoverAndMinimality:
     def test_cover_on_small_instances(self, small):
@@ -166,6 +182,19 @@ class TestFrozenSizes:
         assert games["case_study_2.json"].action_set_sizes() == (
             586, 586, 586, 586, 302, 302, 302, 302, 132, 132
         )
+
+    def test_second_case_study_action_sets(self, games):
+        # equal sizes alone would not catch a prune that keeps the wrong masks
+        digests = {}
+        for number, actions in games["case_study_2.json"].station_action_sets.items():
+            signatures = tuple(tuple(sorted(sig)) for sig in actions.signatures)
+            blob = repr((signatures, actions.trajectories)).encode()
+            digests[number] = hashlib.sha256(blob).hexdigest()
+        assert digests == {
+            1: "034293ec817e1f7ef0c71978436c6c405a2fb8013ae6c38873947a7ca5be3263",
+            2: "ed3c685c9a861947eccf2ff78c3ccc61786c4474b53b15a56be317ccd51356f6",
+            3: "641b336e641834c0299f0abe2bad214c96c9158963a2010080b6106473d63524",
+        }
 
     def test_ten_task_prefix_sizes(self, scenarios):
         sc = scenarios["case_study_2.json"]

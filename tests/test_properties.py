@@ -10,7 +10,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from support import (
     assert_contributions_are_counter_differences,
+    maximal_masks,
     random_game,
+    random_mask_group,
     random_plan_walk,
 )
 
@@ -25,6 +27,7 @@ from taskgrid import (
     utility,
     verify_cover,
 )
+from taskgrid.actions import _INDEX_FROM, _prune_dominated
 from taskgrid.game import EXTENDED
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -196,3 +199,16 @@ def test_action_sets_match_the_enumerated_trajectories(seed):
         sigs = actions.signatures
         for i, a in enumerate(sigs):
             assert not any(a <= b for b in sigs[:i] + sigs[i + 1 :])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    seed=seeds,
+    size=st.integers(min_value=0, max_value=300),
+    width=st.integers(min_value=1, max_value=120),
+)
+def test_dominance_prune_keeps_exactly_the_maximal_masks(seed, size, width):
+    # sizes reach past _INDEX_FROM, so both of the prune's regimes are drawn
+    assert _INDEX_FROM < 300
+    group = random_mask_group(np.random.default_rng(seed), size, width)
+    assert _prune_dominated(group) == maximal_masks(group)
