@@ -132,9 +132,7 @@ def _service_slots(grid, station, horizon, tasks):
     )
 
 
-# Group size from which _prune_dominated uses the per-bit index: measured per
-# group size on the benchmark's groups, the pairwise scan is faster below about
-# 80 masks, the two tie up to 96 and the index is 4x faster past 256.
+# measured per group size: the pairwise scan is faster below, the index above
 _INDEX_FROM = 96
 
 
@@ -154,7 +152,7 @@ def _prune_dominated(masks):
     if len(masks) <= 1:
         return set(masks)
     ordered = sorted(masks, key=int.bit_count, reverse=True)
-    if len(ordered) < _INDEX_FROM:
+    if len(masks) < _INDEX_FROM:
         kept = []
         for m in ordered:
             for k in kept:

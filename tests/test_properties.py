@@ -1,8 +1,10 @@
 """Property tests: the fast paths against the naive oracles on drawn games.
 
-Hypothesis draws only a seed; ``support.random_game`` turns it into a game,
-so every example is reproducible from its seed. ``derandomize`` fixes the
-drawn seeds, keeping the suite deterministic.
+Hypothesis draws a seed; ``support.random_game`` turns it into a game, so
+every example is reproducible from its seed. The dominance prune's test also
+draws a group size and a mask width, and ``support.random_mask_group`` turns
+the three into a group. ``derandomize`` fixes the draws, keeping the suite
+deterministic.
 """
 
 import numpy as np
