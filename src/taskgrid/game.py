@@ -32,14 +32,15 @@ state, a dict from counter code to value, filled on first use by
 state; the oracles call ``evaluate`` directly and never read it. The kernel
 reads the station's table of the distinct moves of its actions: a call
 prices each once, as the value gain of adding its code to the code without
-the robot, and sums each action's gains over the tasks the station serves
-with one gather. Gains are non-negative (values are monotone) and
-the ``max_value`` sum is below 2**63, so the int64 sums are exact.
+the robot, and sums each action's gains over its moves with one gather.
+Gains are non-negative (values are monotone) and the ``max_value`` sum is
+below 2**63, so the int64 sums are exact.
 """
 
 import struct
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import zip_longest
 from typing import NamedTuple
 
 import numpy as np
@@ -143,7 +144,7 @@ def _check_tasks(grid, horizon, cap, tasks):
 
 
 class StationTable(NamedTuple):
-    """The kernel's view of a station's moves (``GameInstance._station_table``)."""
+    """The kernel's view of a station's moves, slot by slot (``_station_table``)."""
 
     pieces: tuple
     piece_ids: np.ndarray
@@ -239,9 +240,11 @@ class GameInstance:
         return tuple(range(1, self.n_robots + 1))
 
     def robot_index(self, robot_id):
-        if not 1 <= robot_id <= self.n_robots:
-            raise DomainError(f"unknown robot id {robot_id}")
-        return robot_id - 1
+        """The 0-based index of a robot id, an integer under the one integer rule."""
+        number = robot_id if type(robot_id) is int else _as_integer(robot_id)
+        if number is None or not 1 <= number <= self.n_robots:
+            raise DomainError(f"unknown robot id {robot_id!r}")
+        return number - 1
 
     def station_of(self, robot_id):
         return self.grid.station(self.robot_stations[self.robot_index(robot_id)])
@@ -303,33 +306,23 @@ class GameInstance:
         """The distinct moves of a station's actions, as the kernel reads them.
 
         Returns a ``StationTable``, built on the kernel's first use of the
-        station. ``pieces`` holds the distinct ``(task index, code)`` pairs
-        of the station's moves, grouped by task in task order and in
-        first-appearance order within a task. Row ``r`` of the intp array
-        ``piece_ids``, of shape (tasks some action serves, actions), belongs
-        to the ``r``-th such task and gives each action's index in
-        ``pieces`` for it, or -1 if the action adds nothing to it, which the
-        kernel maps to a zero gain it appends.
+        station. ``pieces`` holds the distinct ``(task index, code)`` moves
+        of the station's actions in first-appearance order. Column ``a`` of
+        the intp array ``piece_ids``, of shape (most moves of any action,
+        actions), lists the indices in ``pieces`` of action ``a``'s moves in
+        order, padded with -1, which the kernel maps to a zero gain it
+        appends.
         """
         cached = self._tables.get(number)
         if cached is None:
-            adds = [dict(move) for move in self._station_moves[number]]
-            pieces, piece_ids = [], []
-            for j in range(len(self.tasks)):
-                index = {}
-                row = [
-                    index.setdefault(a[j], len(pieces) + len(index)) if j in a else -1
-                    for a in adds
-                ]
-                if index:
-                    piece_ids.append(row)
-                    pieces.extend((j, code) for code in index)
-            cached = self._tables[number] = StationTable(
-                pieces=tuple(pieces),
-                piece_ids=np.array(piece_ids, dtype=np.intp).reshape(
-                    len(piece_ids), len(adds)
-                ),
-            )
+            index = {}
+            columns = [
+                [index.setdefault(move, len(index)) for move in moves]
+                for moves in self._station_moves[number]
+            ]
+            rows = list(zip_longest(*columns, fillvalue=-1))
+            piece_ids = np.array(rows, dtype=np.intp).reshape(len(rows), len(columns))
+            cached = self._tables[number] = StationTable(tuple(index), piece_ids)
         return cached
 
     def validate_plan(self, plan):
@@ -374,6 +367,8 @@ def counters(game, plan, task, exclude_robot=None):
     game.validate_plan(plan)
     if task.id not in game._task_index:
         raise DomainError(f"task id {task.id} is not part of this game")
+    if exclude_robot is not None:
+        game.robot_index(exclude_robot)
     return _count(game, _chosen(game, plan), task, exclude_robot)
 
 
@@ -414,6 +409,7 @@ def global_value(game, plan):
 def utility(game, plan, robot_id):
     """Marginal contribution of a robot: value with it minus value without it."""
     game.validate_plan(plan)
+    game.robot_index(robot_id)
     chosen = _chosen(game, plan)
     total = 0
     for task in game.tasks:
@@ -487,8 +483,8 @@ class ProfileState:
     state's per-task memo, keyed by code, so each distinct counter of a
     task is evaluated once per state; the memo lives and dies with the
     state. The kernel prices each piece of the station's table once and
-    sums each action's gains over the tasks it serves. Values are Python
-    ints and the int64 sums cannot wrap, so equalities are exact.
+    sums each action's gains over its moves. Values are Python ints and the
+    int64 sums cannot wrap, so equalities are exact.
     """
 
     def __init__(self, game, plan):

@@ -181,11 +181,6 @@ class ValueFunction:
         raise DomainError(f"table variant has no entry for counter {c} and no default")
 
 
-def evaluate_value(spec, counter):
-    """Evaluate a ValueFunction on a counter vector."""
-    return spec.evaluate(counter)
-
-
 @dataclass(frozen=True)
 class Task:
     """One cooperative task: location, time window, value function."""

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from support import (
@@ -15,6 +17,7 @@ from taskgrid import (
     Task,
     ValidationError,
     ValueFunction,
+    best_response_set,
     brute_force_optimum,
     build_game,
     counters,
@@ -50,6 +53,19 @@ class TestWorkedThreeRobotInstance:
         assert counters(game, plan, task, exclude_robot=3) == (0, 2, 2, 2, 2, 0)
         assert global_value(game, plan) == 1
         assert [utility(game, plan, r) for r in game.robot_ids] == [0, 0, 0]
+
+    def test_the_oracles_reject_an_unknown_robot_id(self, games):
+        # example_3 has robots 1 and 2
+        game = games["example_3.json"]
+        plan = JointPlan((0, 0))
+        task = game.tasks[0]
+        for robot_id in (0, 3, 99, 1.5, True):
+            with pytest.raises(DomainError, match="unknown robot id"):
+                utility(game, plan, robot_id)
+            with pytest.raises(DomainError, match="unknown robot id"):
+                counters(game, plan, task, exclude_robot=robot_id)
+        assert counters(game, plan, task, exclude_robot=None) == counters(game, plan, task)
+        assert utility(game, plan, np.int64(2)) == utility(game, plan, 2)
 
     def test_exclusion_removes_at_most_one_robot_per_step(self, games):
         game = games["example_1.json"]
@@ -259,6 +275,33 @@ class TestProfileStateAgainstNaive:
                 state.utilities_over_actions(robot_id)
         assert state.plan() == JointPlan((0, 0))
 
+    @pytest.mark.parametrize("robot_id", [1.5, "1", None, True, np.float64(1)], ids=repr)
+    def test_a_robot_id_that_is_not_an_integer_is_rejected(self, games, robot_id):
+        game = games["example_3.json"]
+        state = ProfileState(game, JointPlan((0, 0)))
+        message = re.escape(f"unknown robot id {robot_id!r}")
+        for call in (
+            game.n_actions,
+            state.utilities_over_actions,
+            lambda r: state.switch(r, 1),
+            lambda r: best_response_set(game, JointPlan((0, 0)), r),
+            lambda r: utility(game, JointPlan((0, 0)), r),
+        ):
+            with pytest.raises(DomainError, match=message):
+                call(robot_id)
+        assert state.plan() == JointPlan((0, 0))
+
+    def test_a_numpy_integer_robot_id_is_that_robot(self, games):
+        game = games["example_3.json"]
+        state = ProfileState(game, JointPlan((0, 0)))
+        assert game.n_actions(np.int64(2)) == game.n_actions(2)
+        assert (
+            state.utilities_over_actions(np.int64(2)).tolist()
+            == state.utilities_over_actions(2).tolist()
+        )
+        state.switch(np.int64(2), 1)
+        assert state.plan() == JointPlan((0, 1))
+
     def test_switch_rejects_an_action_id_out_of_range(self, games):
         game = games["example_3.json"]
         state = ProfileState(game, JointPlan((0, 0)))
@@ -407,6 +450,16 @@ class TestStationTable:
         table = game._tables[game.robot_stations[0]]
         profile_values(game)
         assert game._station_table(game.robot_stations[0]) is table
+
+
+    def test_case_study_2_tables_are_one_row_per_move_slot(self, games):
+        # no action of case_study_2 serves more than 4 tasks
+        game = games["case_study_2.json"]
+        shapes = {
+            number: game._station_table(number).piece_ids.shape
+            for number in sorted(set(game.robot_stations))
+        }
+        assert shapes == {1: (4, 586), 2: (4, 302), 3: (4, 132)}
 
 
 class TestLocality:

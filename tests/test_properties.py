@@ -142,30 +142,25 @@ def _counter(task, offsets):
 @given(seed=seeds)
 def test_station_table_decodes_to_the_contributions(seed):
     # plain and extended draws alike: each action's moves decode to the
-    # counters of the offsets contributions_of lists, and the kernel's table
-    # holds each distinct move once, with index -1 exactly where an action
-    # adds nothing to a task and no row for a task no action serves
+    # counters of the offsets contributions_of lists, and each column of the
+    # kernel's table, read up to its first -1, lists the ids of that
+    # action's moves in order, with only -1 after; the pieces are distinct
+    # and all used, and the table is as high as the longest move list
     _, game = _overlap_and_table_game(seed)
     for robot_id, number in zip(game.robot_ids, game.robot_stations):
         moves = game._station_moves[number]
-        adds = [dict(move) for move in moves]
         table = game._station_table(number)
         pieces = table.pieces
-        served = sorted({j for a in adds for j in a})
-        assert table.piece_ids.shape == (len(served), game.n_actions(robot_id))
+        height = max(map(len, moves))
+        assert table.piece_ids.shape == (height, game.n_actions(robot_id))
         assert len(pieces) == len(set(pieces))
-        # grouped by task in task order, first-appearance order within one
-        assert pieces == tuple(
-            (j, code)
-            for j in served
-            for code in dict.fromkeys(a[j] for a in adds if j in a)
-        )
-        for j, row in zip(served, table.piece_ids):
-            for a, index in zip(adds, row.tolist()):
-                if index < 0:
-                    assert j not in a
-                else:
-                    assert pieces[index] == (j, a[j])
+        used = set()
+        for move, column in zip(moves, table.piece_ids.T.tolist()):
+            end = column.index(-1) if -1 in column else height
+            assert [pieces[i] for i in column[:end]] == list(move)
+            assert column[end:] == [-1] * (height - end)
+            used.update(column[:end])
+        assert used == set(range(len(pieces)))
         for action_id, move in enumerate(moves):
             contribs = game.contributions_of(robot_id, action_id)
             assert [(j, game._decode(j, code)) for j, code in move] == [

@@ -10,7 +10,6 @@ from taskgrid import (
     ValidationError,
     ValueFunction,
     check_no_overlap,
-    evaluate_value,
     validate_monotonicity,
 )
 from taskgrid.tasks import VALUE_FIELDS, VALUE_KINDS, _table_is_monotone
@@ -172,7 +171,7 @@ class TestEvaluationDomain:
     def test_numpy_integers_are_accepted(self):
         vf = ValueFunction.simple(1)
         assert vf.evaluate(np.array([0, 1])) == 1
-        assert evaluate_value(vf, (np.int64(2),)) == 1
+        assert vf.evaluate((np.int64(2),)) == 1
 
     def test_floats_are_rejected(self):
         with pytest.raises(DomainError):

@@ -17,8 +17,11 @@ The file keeps every run's end-to-end metrics and output digest, the exact
 work counters per pass of each run, and per metric each side's quartiles,
 the ratio of the medians and how many pairs the change won (ties win for
 neither). Each workload's summary leads with how many pairs had equal output
-digests and which exact counters differ per pass between the sides. ``--traced`` adds one ``--trace 1`` run per side. The file is
-rewritten after every pair, so an interrupted recording keeps what it ran.
+digests and which exact counters differ per pass between the sides.
+``--traced`` adds one ``--trace 1`` run per side and seed, again alternating
+the side that runs first; with several traced seeds of a workload, each
+side's median per metric over them is written too. The file is rewritten
+after every pair, so an interrupted recording keeps what it ran.
 """
 
 import argparse
@@ -115,6 +118,13 @@ def quartiles(values):
     return {"q1": round(q1, 4), "median": round(median, 4), "q3": round(q3, 4)}
 
 
+def medians(rows):
+    """The median of each metric over ``rows``, one run's row each."""
+    names = set.intersection(*map(set, rows)) - {
+        "correct", "attempted", "failed", "output_digest", "errors"}
+    return {n: round(statistics.median(r[n] for r in rows), 4) for n in sorted(names)}
+
+
 def summarize(runs, metrics):
     summary = {}
     for m in metrics:
@@ -159,7 +169,8 @@ def main(argv=None):
     parser.add_argument("--runs", action="append", type=workload_seeds, default=[],
                         metavar="WORKLOAD:SEEDS", help="paired --trace 0 runs, e.g. plan_cs2:1-10")
     parser.add_argument("--traced", action="append", type=workload_seeds, default=[],
-                        metavar="WORKLOAD:SEEDS", help="one --trace 1 run per side and seed")
+                        metavar="WORKLOAD:SEEDS",
+                        help="one --trace 1 run per side and seed, e.g. plan_cs2:1-3")
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -207,15 +218,28 @@ def record(args, spec, trees):
                                 **summarize(entry["runs"], spec["end_to_end"])}
             save()
     for workload, seeds in args.traced:
+        done = []
         for seed in seeds:
-            traced = {"command": f"python3 perfbench/run.py --workload {workload} "
-                                 f"--seed {seed} --seconds {seconds:g} --trace 1"}
-            for side in SIDES:
+            order = SIDES if pairs % 2 == 0 else SIDES[::-1]
+            pairs += 1
+            rows = {}
+            for side in order:
                 row, _, stderr = run_side(trees[side], workload, seed, seconds, 1)
                 errors = [line for line in stderr.splitlines() if line.startswith("error:")]
-                traced[side] = dict(row, errors=errors)
+                rows[side] = dict(row, errors=errors)
                 print(f"{workload} seed {seed} {side} traced", flush=True)
-            doc[f"traced_{workload}_seed{seed}"] = traced
+            doc[f"traced_{workload}_seed{seed}"] = {
+                "command": f"python3 perfbench/run.py --workload {workload} "
+                           f"--seed {seed} --seconds {seconds:g} --trace 1",
+                "first": order[0],
+                **{s: rows[s] for s in SIDES},
+            }
+            done.append(rows)
+            if len(done) > 1:
+                doc[f"traced_{workload}_median"] = {
+                    "seeds": seeds[:len(done)],
+                    **{s: medians([r[s] for r in done]) for s in SIDES},
+                }
             save()
 
 
