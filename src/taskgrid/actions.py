@@ -37,7 +37,7 @@ from itertools import product
 from math import prod
 
 from .errors import BudgetExceededError, DomainError
-from .grid import _trajectory_start, enumerate_feasible_trajectories
+from .grid import _as_integer, _trajectory_start, enumerate_feasible_trajectories
 
 DEFAULT_SIGNATURE_BUDGET = 1_000_000
 DEFAULT_EXTENSION_BUDGET = 100_000
@@ -62,14 +62,15 @@ def signature(trajectory, tasks):
 
 
 def theta(trajectory, tasks, t):
-    """Ids of tasks a robot on this trajectory can serve at step ``t``."""
+    """Ids of tasks a robot on this trajectory can serve at step ``t``, an integer."""
     traj = tuple(tuple(c) for c in trajectory)
-    if not 0 <= t < len(traj) - 1:
-        raise DomainError(f"time step {t} outside 0..{len(traj) - 2}")
-    if traj[t] != traj[t + 1]:
+    step = t if type(t) is int else _as_integer(t)
+    if step is None or not 0 <= step < len(traj) - 1:
+        raise DomainError(f"time step {t!r} outside 0..{len(traj) - 2}")
+    if traj[step] != traj[step + 1]:
         return set()
     return {
-        task.id for task in tasks if task.location == traj[t] and task.active_at(t)
+        task.id for task in tasks if task.location == traj[step] and task.active_at(step)
     }
 
 

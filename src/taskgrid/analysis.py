@@ -362,5 +362,8 @@ def empirical_occupancy(game, epsilon, rounds, seed, budget=CHAIN_PROFILE_BUDGET
 
 
 def total_variation(p, q):
-    """Total-variation distance between two distributions."""
-    return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
+    """Total-variation distance between two distributions of one shape."""
+    p, q = np.asarray(p), np.asarray(q)
+    if p.shape != q.shape:
+        raise DomainError(f"distributions of shapes {p.shape} and {q.shape} differ")
+    return 0.5 * float(np.abs(p - q).sum())

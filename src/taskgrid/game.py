@@ -160,10 +160,9 @@ class GameInstance:
     robot_stations : sequence of int
         1-based station number per robot; robot ids are 1..n in this order.
     tasks : sequence of Task
-    mode : str
-        "auto" picks plain actions when no two tasks share a location with
-        overlapping windows and extended actions otherwise; "plain" and
-        "extended" force the choice ("plain" is rejected under overlap).
+        The tasks alone decide ``mode``, which no option selects: ``EXTENDED``
+        iff some ``(step, cell)`` of the service index lists two tasks (one
+        stay could serve either), ``PLAIN`` otherwise.
     """
 
     def __init__(
@@ -172,7 +171,6 @@ class GameInstance:
         horizon,
         robot_stations,
         tasks,
-        mode="auto",
         signature_budget=actions_mod.DEFAULT_SIGNATURE_BUDGET,
         extension_budget=actions_mod.DEFAULT_EXTENSION_BUDGET,
     ):
@@ -182,24 +180,12 @@ class GameInstance:
         self.horizon = _as_integer(horizon)
         self.robot_stations = tuple(map(_as_integer, robot_stations))
         self.tasks = tasks
-
-        overlaps = tasks_mod.check_no_overlap(self.tasks)
-        if mode == "auto":
-            mode = EXTENDED if overlaps else PLAIN
-        elif mode == PLAIN and overlaps:
-            pair = overlaps[0]
-            raise ValidationError(
-                f"plain mode is invalid: tasks {pair[0].id} and {pair[1].id} "
-                f"share location {pair[0].location} with overlapping windows"
-            )
-        elif mode not in (PLAIN, EXTENDED):
-            raise ValidationError(f"unknown mode {mode!r}")
-        self.mode = mode
+        index = actions_mod._service_index(horizon, self.tasks)
+        self.mode = EXTENDED if any(len(js) > 1 for js in index.values()) else PLAIN
 
         self._task_index = {task.id: i for i, task in enumerate(self.tasks)}
         # per station: its StationTable, built on the kernel's first use
         self._tables = {}
-        index = actions_mod._service_index(horizon, self.tasks)
         # action sets depend only on the station, so co-stationed robots share
         self.station_action_sets = {}
         self._station_actions = {}
@@ -211,7 +197,7 @@ class GameInstance:
                 grid, cell, horizon, self.tasks, budget=signature_budget
             )
             self.station_action_sets[number] = base
-            if mode == EXTENDED:
+            if self.mode == EXTENDED:
                 acts = tuple(
                     actions_mod.extend_action_set(
                         base, self.tasks, budget=extension_budget
@@ -221,7 +207,7 @@ class GameInstance:
                 stays = [enumerate(map(self._task_index.get, a.commitments)) for a in acts]
             else:
                 acts = base.trajectories
-                # without overlap a stay serves exactly one task
+                # plain: each (t, cell) of the index lists exactly one task
                 stays = [
                     [(t, j) for t, cell in sorted(sig) for j in index[t, cell]]
                     for sig in base.signatures
@@ -261,17 +247,18 @@ class GameInstance:
         return tuple(self.n_actions(i) for i in self.robot_ids)
 
     def trajectory_of(self, robot_id, action_id):
-        action = self.actions_of(robot_id)[action_id]
-        if self.mode == EXTENDED:
-            return action.trajectory
-        return action
+        idx = self.robot_index(robot_id)
+        self._check_action(idx, action_id)
+        action = self._station_actions[self.robot_stations[idx]][action_id]
+        return action.trajectory if self.mode == EXTENDED else action
 
     def contributions_of(self, robot_id, action_id):
         """Tuple of (task index, window-offset tuple) pairs for one action."""
-        number = self.robot_stations[self.robot_index(robot_id)]
+        idx = self.robot_index(robot_id)
+        self._check_action(idx, action_id)
         return tuple(
             (j, tuple(o for o, n in enumerate(self._decode(j, code)) if n))
-            for j, code in self._station_moves[number][action_id]
+            for j, code in self._station_moves[self.robot_stations[idx]][action_id]
         )
 
     @cached_property

@@ -136,12 +136,13 @@ class Grid:
         )
 
     def station(self, number):
-        """Return the station cell for a 1-based station number."""
-        if not 1 <= number <= len(self.stations):
+        """Return the station cell for a 1-based station number, an integer."""
+        n = number if type(number) is int else _as_integer(number)
+        if n is None or not 1 <= n <= len(self.stations):
             raise DomainError(
-                f"station number {number} out of range 1..{len(self.stations)}"
+                f"station number {number!r} out of range 1..{len(self.stations)}"
             )
-        return self.stations[number - 1]
+        return self.stations[n - 1]
 
     def neighbors(self, cell):
         """Feasible cells reachable in one step from ``cell``, including itself."""

@@ -343,7 +343,7 @@ def load_any(path):
     return _load(path, _scenario_or_episodes)
 
 
-def build_game(scenario, mode="auto", **budgets):
+def build_game(scenario, **budgets):
     """Construct the game instance a scenario describes."""
     if isinstance(scenario, EpisodeSuite):
         raise DomainError(
@@ -355,7 +355,6 @@ def build_game(scenario, mode="auto", **budgets):
         scenario.horizon,
         scenario.robot_stations,
         scenario.tasks,
-        mode=mode,
         **budgets,
     )
 

@@ -229,8 +229,8 @@ def check_no_overlap(tasks):
 
     An empty result means every location hosts at most one active task at
     any time, so a trajectory alone determines which task each stay serves.
-    A non-empty result means the game must use extended actions that carry
-    explicit service commitments.
+    A non-empty result is exactly when ``GameInstance`` finds extended mode
+    in its service index; this pair scan is the independent check of that.
     """
     violations = []
     tasks = list(tasks)
@@ -251,6 +251,9 @@ def validate_monotonicity(spec, window_len, robot_cap, budget=2_000_000):
     True by construction for the built-in variants; the mandatory gate
     for table variants.
     """
+    for name, value, least in (("window_len", window_len, 1), ("robot_cap", robot_cap, 0)):
+        if _as_integer(value) is None or value < least:
+            raise DomainError(f"{name}: {value!r} is not an integer of at least {least}")
     total = (robot_cap + 1) ** window_len
     if total > budget:
         raise BudgetExceededError(

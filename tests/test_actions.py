@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -62,6 +63,14 @@ class TestSignatures:
         assert theta(traj, sc.tasks, 3) == set()
         with pytest.raises(DomainError):
             theta(traj, sc.tasks, 4)
+
+    @pytest.mark.parametrize("t", [True, 1.5, "1"])
+    def test_theta_step_follows_the_integer_rule(self, scenarios, t):
+        sc = scenarios["example_2.json"]
+        traj = ((2, 2), (3, 3), (3, 3), (3, 3), (2, 2))
+        with pytest.raises(DomainError, match=rf"^time step {re.escape(repr(t))} outside"):
+            theta(traj, sc.tasks, t)
+        assert theta(traj, sc.tasks, np.int64(2)) == {1, 2}
 
 
 class TestConstruction:

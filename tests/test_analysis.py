@@ -383,3 +383,7 @@ class TestOccupancy:
         assert total_variation(p, p) == 0.0
         assert total_variation(p, q) == 1.0
         assert total_variation(q, p) == 1.0
+
+    def test_total_variation_needs_one_shape(self):
+        with pytest.raises(DomainError, match=r"shapes \(2,\) and \(1,\)"):
+            total_variation([0.5, 0.5], [1.0])

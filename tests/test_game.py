@@ -22,11 +22,13 @@ from taskgrid import (
     build_game,
     counters,
     enumerate_nash,
+    extend_action_set,
     global_value,
     is_nash,
     local_robots,
     local_tasks,
     profile_values,
+    theta,
     utility,
     verify_potential_identity,
 )
@@ -82,19 +84,17 @@ class TestExtendedMode:
         assert games["example_2.json"].mode == "extended"
         assert games["example_3.json"].mode == "plain"
 
-    def test_plain_mode_rejected_under_overlap(self, scenarios):
-        sc = scenarios["example_2.json"]
-        with pytest.raises(ValidationError, match="tasks 1 and 2"):
-            GameInstance(sc.grid, sc.horizon, sc.robot_stations, sc.tasks, mode="plain")
-
-    def test_forcing_extended_without_overlap_keeps_sizes(self, scenarios):
-        sc = scenarios["example_3.json"]
-        plain = GameInstance(sc.grid, sc.horizon, sc.robot_stations, sc.tasks)
-        forced = GameInstance(
-            sc.grid, sc.horizon, sc.robot_stations, sc.tasks, mode="extended"
-        )
-        assert forced.mode == "extended"
-        assert forced.action_set_sizes() == plain.action_set_sizes()
+    def test_extension_without_overlap_commits_each_stay_to_its_one_task(self, games):
+        game = games["example_3.json"]
+        for aset in game.station_action_sets.values():
+            extended = extend_action_set(aset, game.tasks)
+            assert [a.trajectory for a in extended] == list(aset.trajectories)
+            for action in extended:
+                assert len(action.commitments) == game.horizon
+                for t, commitment in enumerate(action.commitments):
+                    served = theta(action.trajectory, game.tasks, t)
+                    assert len(served) <= 1
+                    assert commitment == next(iter(served), None)
 
     def test_commitments_decide_which_task_is_served(self, games):
         game = games["example_2.json"]
@@ -176,10 +176,8 @@ class TestConstructionValidation:
         ):
             GameInstance(grid, 2, [1], tasks)
 
-    def test_unknown_mode_and_bad_station(self):
+    def test_bad_station_robots_and_horizon(self):
         grid = Grid(3, 3, stations=[(2, 2)])
-        with pytest.raises(ValidationError):
-            GameInstance(grid, 2, [1], [], mode="fast")
         with pytest.raises(ValidationError, match=r"robots\[0\]: station number 2"):
             GameInstance(grid, 2, [2], [])
         with pytest.raises(ValidationError):
@@ -188,6 +186,25 @@ class TestConstructionValidation:
             GameInstance(grid, 0, [1], [])
         with pytest.raises(ValidationError, match="horizon: must be an integer"):
             GameInstance(grid, 2.5, [1], [])
+
+    @pytest.mark.parametrize(
+        "bad_id",
+        [lambda n: -1, lambda n: n, lambda n: 1.0, lambda n: True, lambda n: "0"],
+        ids=["-1", "n", "1.0", "True", "'0'"],
+    )
+    def test_accessors_check_the_action_id(self, games, bad_id):
+        # example_3: robot 2 has n actions, ids 0..n-1
+        game = games["example_3.json"]
+        n = game.n_actions(2)
+        action_id = bad_id(n)
+        for accessor in (game.trajectory_of, game.contributions_of):
+            with pytest.raises(
+                DomainError, match=rf"^robot 2: action id {re.escape(repr(action_id))} "
+            ):
+                accessor(2, action_id)
+        last = np.int64(n - 1)
+        assert game.trajectory_of(2, last) == game.actions_of(2)[n - 1]
+        assert game.contributions_of(2, last) == game.contributions_of(2, n - 1)
 
     def test_validate_plan(self, games):
         game = games["example_3.json"]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,16 @@ class TestNeighborhood:
             env.station(0)
         with pytest.raises(DomainError):
             env.station(4)
+
+    @pytest.mark.parametrize("number", [True, 1.5, "1", None])
+    def test_station_number_follows_the_integer_rule(self, env, number):
+        with pytest.raises(
+            DomainError, match=rf"^station number {re.escape(repr(number))} out of range"
+        ):
+            env.station(number)
+
+    def test_numpy_station_numbers_are_accepted(self, env):
+        assert env.station(np.int64(2)) == env.station(2) == (6, 3)
 
 
 class TestDistances:

@@ -7,6 +7,8 @@ the three into a group. ``derandomize`` fixes the draws, keeping the suite
 deterministic.
 """
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -19,8 +21,10 @@ from support import (
 )
 
 from taskgrid import (
+    GameInstance,
     ProfileState,
     build_minimal_action_set,
+    check_no_overlap,
     counters,
     enumerate_feasible_trajectories,
     global_value,
@@ -48,6 +52,25 @@ def test_fast_paths_match_the_naive_oracles(seed):
             for a in range(game.n_actions(robot_id))
         ]
     assert profile_values(game)[plan.action_ids] == global_value(game, plan)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=seeds)
+def test_mode_is_extended_iff_two_windows_overlap_at_one_location(seed):
+    rng = np.random.default_rng(seed)
+    game = random_game(rng, max_tasks=4, overlap_and_tables=bool(seed % 2))
+    assert (game.mode == EXTENDED) == bool(check_no_overlap(game.tasks))
+    # the same tasks gathered onto at most two cells, where their windows
+    # may overlap, touch or miss
+    shared = [task.location for task in game.tasks[:2]]
+    assume(shared)
+    gathered = GameInstance(
+        game.grid,
+        game.horizon,
+        game.robot_stations,
+        [replace(t, location=shared[int(rng.integers(len(shared)))]) for t in game.tasks],
+    )
+    assert (gathered.mode == EXTENDED) == bool(check_no_overlap(gathered.tasks))
 
 
 def _overlap_and_table_game(seed):

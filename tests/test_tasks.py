@@ -279,6 +279,22 @@ class TestMonotonicity:
                 ValueFunction.simple(1), window_len=10, robot_cap=9, budget=100
             )
 
+    @pytest.mark.parametrize(
+        "window_len, robot_cap, name",
+        [
+            (0, 2, "window_len"),
+            (True, 2, "window_len"),
+            (1.0, 2, "window_len"),
+            (2, -1, "robot_cap"),
+            (2, True, "robot_cap"),
+            (2, "1", "robot_cap"),
+        ],
+    )
+    def test_window_and_cap_must_be_counts(self, window_len, robot_cap, name):
+        with pytest.raises(DomainError, match=f"^{name}: "):
+            validate_monotonicity(ValueFunction.simple(1), window_len, robot_cap)
+        assert validate_monotonicity(ValueFunction.simple(1), np.int64(2), np.int64(0))
+
     def test_random_counters_never_lose_value_when_bumped(self):
         rng = np.random.default_rng(2)
         variants = (
